@@ -1,4 +1,10 @@
-"""Market verdicts on top of the generator set.
+"""Market verdicts, read off one analysis record per market.
+
+``characterize`` is the only place a one-period market is analysed. It runs
+one generator enumeration and one exact elimination and returns an
+``EmmCharacterization``; every verdict, witness, price bound and completion
+plan in this module is a view of that record. Nothing is cached: a caller
+that meets the same market many times (an event tree) keeps its own records.
 
 Arbitrage-freeness is existence of an equivalent martingale measure, which
 holds exactly when every outcome carries positive mass under some generator.
@@ -10,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InputError, NotViableError
@@ -22,7 +27,8 @@ from .rationals import (
     Vector,
     dot,
     mean_vector,
-    rank,
+    rank,  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
+    rref,
     unit_vector,
     vector,
 )
@@ -30,17 +36,28 @@ from .rationals import (
 
 @dataclass(frozen=True)
 class EmmCharacterization:
-    """Generators plus, per outcome, which generators give it positive mass.
+    """The one analysis of a market: generators, supports and verdicts.
 
     A convex combination sum(a_j * p^j) is an equivalent martingale measure
     exactly when for every outcome i some generator j in outcome_support[i]
     has a_j > 0. An equivalent measure exists at all exactly when no
     outcome_support entry is empty.
+
+    ``witness`` is the uniform average of the generators (None when there
+    are none): always a martingale measure, and equivalent precisely when
+    ``emm_exists``, since averaging covers every generator's support.
+    ``complete`` is viability plus row rank b of the ones-augmented payoff
+    matrix. ``completing_outcomes`` are the outcomes whose unit payoffs,
+    added smallest index first, raise that rank to b; empty exactly when the
+    rank is already b.
     """
 
     generators: GeneratorSet
     outcome_support: tuple[tuple[int, ...], ...]
     emm_exists: bool
+    witness: Vector | None
+    complete: bool
+    completing_outcomes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -85,49 +102,49 @@ class CompletionPlan:
         return self.added_payoff_rows.rows == 0
 
 
-@lru_cache(maxsize=512)
-def _characterize_cached(mkt: OnePeriodMarket, max_outcomes: int) -> EmmCharacterization:
-    gens = enumerate_generators(build_system(mkt), max_outcomes=max_outcomes)
-    support = tuple(
-        tuple(j for j, g in enumerate(gens.generators) if g[i] > 0)
-        for i in range(mkt.outcomes)
-    )
-    return EmmCharacterization(
-        generators=gens,
-        outcome_support=support,
-        emm_exists=all(support),
-    )
-
-
 def characterize(
     mkt: OnePeriodMarket, *, max_outcomes: int = DEFAULT_MAX_OUTCOMES
 ) -> EmmCharacterization:
-    """Enumerate generators and read off the equivalent-measure conditions."""
-    return _characterize_cached(mkt, max_outcomes)
+    """Enumerate generators once and eliminate the augmented matrix once.
+
+    Adding the unit payoff e_i raises the augmented rank exactly when no
+    vector of the current row space has its last nonzero entry at i. Those
+    last-nonzero positions are the pivots of the RREF with the columns
+    reversed, so the completing outcomes are the remaining positions.
+    """
+    sys = build_system(mkt)
+    gens = enumerate_generators(sys, max_outcomes=max_outcomes)
+    b = mkt.outcomes
+    support = tuple(
+        tuple(j for j, g in enumerate(gens.generators) if g[i] > 0)
+        for i in range(b)
+    )
+    emm_exists = all(support)
+    reversed_rows = augmented_matrix(sys).select_columns(range(b - 1, -1, -1))
+    spanned = {b - 1 - p for p in rref(reversed_rows).pivots}
+    return EmmCharacterization(
+        generators=gens,
+        outcome_support=support,
+        emm_exists=emm_exists,
+        witness=mean_vector(gens.generators) if len(gens) else None,
+        complete=emm_exists and len(spanned) == b,
+        completing_outcomes=tuple(i for i in range(b) if i not in spanned),
+    )
 
 
 def is_arbitrage_free(
     mkt: OnePeriodMarket, *, max_outcomes: int = DEFAULT_MAX_OUTCOMES
 ) -> tuple[bool, Vector | None]:
-    """Verdict plus witness measure.
-
-    The witness is the uniform average of the generators: it is always a
-    martingale measure, and it is equivalent precisely when an equivalent
-    measure exists at all, since averaging covers every generator's support.
-    """
+    """Verdict plus witness measure (see ``EmmCharacterization.witness``)."""
     char = characterize(mkt, max_outcomes=max_outcomes)
-    witness = mean_vector(char.generators.generators) if len(char.generators) else None
-    return char.emm_exists, witness
+    return char.emm_exists, char.witness
 
 
 def is_complete(
     mkt: OnePeriodMarket, *, max_outcomes: int = DEFAULT_MAX_OUTCOMES
 ) -> bool:
     """Arbitrage-free and the ones-augmented payoff matrix has row rank b."""
-    char = characterize(mkt, max_outcomes=max_outcomes)
-    if not char.emm_exists:
-        return False
-    return rank(augmented_matrix(build_system(mkt))) == mkt.outcomes
+    return characterize(mkt, max_outcomes=max_outcomes).complete
 
 
 def verify_measure(mkt: OnePeriodMarket, q: Iterable[RationalLike]) -> MeasureCheck:
@@ -162,16 +179,25 @@ def price_bounds(
         raise NotViableError("price bounds are undefined without an equivalent measure")
     discount = 1 + mkt.rate
     values = [dot(c, g) / discount for g in char.generators]
+    return bounds_from_values(values, char.generators.supports, mkt.outcomes)
+
+
+def bounds_from_values(
+    values: Sequence[Fraction], supports: Sequence[Iterable[int]], outcomes: int
+) -> PriceBounds:
+    """Price bounds from each generator's value and positive-mass outcomes.
+
+    An endpoint is attained by an equivalent measure exactly when the
+    generators taking that value jointly cover all ``outcomes``.
+    """
     low, high = min(values), max(values)
-    supports = char.generators.supports
-    full = set(range(mkt.outcomes))
 
     def attained(target: Fraction) -> bool:
         covered: set[int] = set()
-        for j, v in enumerate(values):
+        for v, support in zip(values, supports):
             if v == target:
-                covered.update(supports[j])
-        return covered == full
+                covered.update(support)
+        return len(covered) == outcomes
 
     return PriceBounds(
         low=low,
@@ -226,9 +252,10 @@ def complete_market(
 ) -> CompletionPlan:
     """Add standard-basis payoff rows until the augmented rank reaches b.
 
-    Rows are chosen greedily, smallest outcome index first, among those that
-    increase the rank of the ones-plus-payoffs matrix; an already complete
-    market yields an empty plan. Prices of the added assets are the
+    The rows are the unit payoffs of ``completing_outcomes``: the greedy
+    choice, smallest outcome index first, of those that increase the rank of
+    the ones-plus-payoffs matrix; an already complete market yields an empty
+    plan. Prices of the added assets are the
     discounted mixture values under ``weights`` (uniform by default, which is
     always admissible on a viable market).
     """
@@ -242,19 +269,7 @@ def complete_market(
     else:
         w = validate_weights(char, weights)
 
-    working = augmented_matrix(build_system(mkt))
-    current = rank(working)
-    added: list[Vector] = []
-    for i in range(b):
-        if current == b:
-            break
-        candidate = unit_vector(i, b)
-        extended = working.with_rows([candidate])
-        new_rank = rank(extended)
-        if new_rank > current:
-            working = extended
-            current = new_rank
-            added.append(candidate)
+    added = [unit_vector(i, b) for i in char.completing_outcomes]
 
     discount = 1 + mkt.rate
     price_map = tuple(

@@ -35,6 +35,13 @@ EXIT_LIMIT = 3
 EXIT_NOT_VIABLE = 4
 EXIT_PERTURBATION = 5
 
+EXIT_CODES = {
+    InputError: EXIT_INPUT,
+    LimitExceededError: EXIT_LIMIT,
+    NotViableError: EXIT_NOT_VIABLE,
+    PerturbationError: EXIT_PERTURBATION,
+}
+
 ENV_MAX_OUTCOMES = "MARTPOLY_MAX_OUTCOMES"
 
 
@@ -68,15 +75,21 @@ def _parse_rational_list(text: str, what: str) -> Vector:
 
 
 def _max_outcomes(args: argparse.Namespace) -> int:
-    if getattr(args, "max_outcomes", None) is not None:
-        return args.max_outcomes
-    env = os.environ.get(ENV_MAX_OUTCOMES)
-    if env is not None:
+    """The face-enumeration guard: the flag, else the environment, else the default."""
+    if args.max_outcomes is not None:
+        value, source = args.max_outcomes, "--max-outcomes"
+    else:
+        env = os.environ.get(ENV_MAX_OUTCOMES)
+        if env is None:
+            return DEFAULT_MAX_OUTCOMES
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise InputError(f"{ENV_MAX_OUTCOMES}={env!r} is not an integer") from None
-    return DEFAULT_MAX_OUTCOMES
+        source = ENV_MAX_OUTCOMES
+    if value < 1:
+        raise InputError(f"{source} must be at least 1, got {value}")
+    return value
 
 
 def _emit(args: argparse.Namespace, document: dict, human: list[str]) -> None:
@@ -87,22 +100,17 @@ def _emit(args: argparse.Namespace, document: dict, human: list[str]) -> None:
             print(line)
 
 
-def _market_report(
-    mkt: OnePeriodMarket, char: analysis.EmmCharacterization
-) -> tuple[dict, Vector | None]:
-    viable, witness = analysis.is_arbitrage_free(mkt)
-    complete = analysis.is_complete(mkt)
-    doc = {
+def _market_report(mkt: OnePeriodMarket, char: analysis.EmmCharacterization) -> dict:
+    return {
         "outcomes": mkt.outcomes,
         "assets": mkt.assets,
-        "viable": viable,
-        "complete": complete,
+        "viable": char.emm_exists,
+        "complete": char.complete,
         "generators": [_vec_strings(g) for g in char.generators],
         "generator_supports": [list(s) for s in char.generators.supports],
         "outcome_support": [list(s) for s in char.outcome_support],
-        "witness": None if witness is None else _vec_strings(witness),
+        "witness": None if char.witness is None else _vec_strings(char.witness),
     }
-    return doc, witness
 
 
 def _describe_supports(char: analysis.EmmCharacterization) -> list[str]:
@@ -123,7 +131,7 @@ def _describe_supports(char: analysis.EmmCharacterization) -> list[str]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     mkt = _load_market(args.path)
     char = analysis.characterize(mkt, max_outcomes=_max_outcomes(args))
-    doc, witness = _market_report(mkt, char)
+    doc = _market_report(mkt, char)
     human = [
         f"outcomes: {doc['outcomes']}  assets: {doc['assets']}",
         f"viable (arbitrage-free): {doc['viable']}",
@@ -131,8 +139,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"generators ({len(char.generators)}):",
     ]
     human += [f"  {_fmt_vec(g)}" for g in char.generators]
-    if witness is not None:
-        human.append(f"witness measure: {_fmt_vec(witness)}")
+    if char.witness is not None:
+        human.append(f"witness measure: {_fmt_vec(char.witness)}")
     human += _describe_supports(char)
     _emit(args, doc, human)
     return EXIT_OK
@@ -274,7 +282,10 @@ def cmd_kkl(args: argparse.Namespace) -> int:
         steps=args.steps,
     )
     emm_p = parse_rational(args.emm_p)
+    eps = None if args.epsilon is None else parse_rational(args.epsilon)
     viable = models.kkl_viability(params)
+    if eps is not None and not viable:
+        raise NotViableError("no surface to perturb: the lattice is not viable")
     levels = models.kkl_grid(params)
     doc: dict = {
         "params": {
@@ -307,8 +318,7 @@ def cmd_kkl(args: argparse.Namespace) -> int:
             f"completion check: {len(violations)} violating node(s)"
             + ("" if violations else "; stock plus put is complete")
         )
-        if args.epsilon is not None:
-            eps = parse_rational(args.epsilon)
+        if eps is not None:
             result = models.kkl_perturb_terminal(params, eps, args.seed, emm_p)
             surface = result.surface
             deviation = max(
@@ -425,22 +435,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LimitExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except NotViableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_VIABLE
-    except PerturbationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PERTURBATION
     except MartpolyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        raise
-
+        code = next((c for cls, c in EXIT_CODES.items() if isinstance(exc, cls)), None)
+        if code is None:
+            print(f"internal error: {exc}", file=sys.stderr)
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return code
 
 if __name__ == "__main__":
     sys.exit(main())

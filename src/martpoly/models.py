@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, TextIO, Union
 
-from .analysis import PriceBounds
+from .analysis import PriceBounds, bounds_from_values
 from .errors import (
     InputError,
     LimitExceededError,
@@ -166,22 +166,8 @@ def trinomial_price_interval(
         raise InputError(f"payoff needs 3 entries, got {len(c)}")
     discount = 1 + fm.rate
     values = [dot(c, g) / discount for g in family.endpoints]
-    low, high = min(values), max(values)
-    full = {0, 1, 2}
-
-    def attained(target: Fraction) -> bool:
-        covered: set[int] = set()
-        for g, v in zip(family.endpoints, values):
-            if v == target:
-                covered.update(i for i, x in enumerate(g) if x > 0)
-        return covered == full
-
-    return PriceBounds(
-        low=low,
-        high=high,
-        low_attained_by_emm=attained(low),
-        high_attained_by_emm=attained(high),
-    )
+    supports = [[i for i, x in enumerate(g) if x > 0] for g in family.endpoints]
+    return bounds_from_values(values, supports, 3)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,10 @@ from .analysis import (
 )
 from .errors import InputError, NotViableError
 from .geometry import DEFAULT_MAX_OUTCOMES
-from .market import OnePeriodMarket, augmented_matrix, build_system
-from .rationals import Matrix, RationalLike, Vector, format_rational, rank, vector
+from .market import OnePeriodMarket
+from .market import build_system  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
+from .rationals import Matrix, RationalLike, Vector, format_rational, vector
+from .rationals import rank  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
 
 
 @dataclass(frozen=True)
@@ -207,15 +209,18 @@ class TreeReport:
 def analyze_tree(
     tm: TreeMarket, *, max_outcomes: int = DEFAULT_MAX_OUTCOMES
 ) -> TreeReport:
-    """Aggregate verdicts: the tree passes exactly when every component does."""
+    """Aggregate verdicts: the tree passes exactly when every component does.
+
+    Each distinct component market is characterized once; components that
+    repeat a market share its record.
+    """
+    chars: dict[OnePeriodMarket, EmmCharacterization] = {}
     reports: list[ComponentReport] = []
     for comp in components(tm):
-        char = characterize(comp.market, max_outcomes=max_outcomes)
-        viable = char.emm_exists
-        complete = viable and (
-            rank(augmented_matrix(build_system(comp.market))) == comp.market.outcomes
-        )
-        reports.append(ComponentReport(comp, char, viable, complete))
+        char = chars.get(comp.market)
+        if char is None:
+            char = chars[comp.market] = characterize(comp.market, max_outcomes=max_outcomes)
+        reports.append(ComponentReport(comp, char, char.emm_exists, char.complete))
     return TreeReport(
         viable=all(r.viable for r in reports),
         complete=all(r.complete for r in reports),
@@ -237,24 +242,23 @@ def complete_tree(
 
     Each plan's assets live on one component: they trade between times t and
     t+1 conditional on the component's node. Applying every plan to its
-    component makes all components, and hence the tree, complete.
+    component makes all components, and hence the tree, complete. Components
+    that repeat a market share one plan.
     """
     report = analyze_tree(tm, max_outcomes=max_outcomes)
     if not report.viable:
         raise NotViableError("only arbitrage-free trees can be completed")
-    plans: list[TreeCompletion] = []
+    plans: dict[OnePeriodMarket, CompletionPlan] = {}
+    out: list[TreeCompletion] = []
     for comp_report in report.components:
         if comp_report.complete:
             continue
-        plan = complete_market(comp_report.component.market, max_outcomes=max_outcomes)
-        plans.append(
-            TreeCompletion(
-                time=comp_report.component.time,
-                node_id=comp_report.component.node_id,
-                plan=plan,
-            )
-        )
-    return tuple(plans)
+        comp = comp_report.component
+        plan = plans.get(comp.market)
+        if plan is None:
+            plan = plans[comp.market] = complete_market(comp.market, max_outcomes=max_outcomes)
+        out.append(TreeCompletion(time=comp.time, node_id=comp.node_id, plan=plan))
+    return tuple(out)
 
 
 def tree_market_from_json_dict(doc: Mapping) -> TreeMarket:

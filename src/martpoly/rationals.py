@@ -8,24 +8,55 @@ would corrupt boundary cases such as measures sitting on a simplex face.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 RationalLike = Union[Fraction, int, str]
+
+_DECIMAL_WITH_EXPONENT = re.compile(
+    r"\s*[-+]?(?P<whole>[\d_]*)(?:\.(?P<frac>[\d_]*))?[eE](?P<exp>[-+]?[\d_]+)\s*\Z"
+)
+
+
+def _check_exponent(text: str) -> None:
+    """Refuse a decimal whose exponent would build an integer too long to print.
+
+    ``Fraction`` scales by ``10**exponent`` before reducing, so "1e200000"
+    would cost a 664k-bit integer. The bound is the interpreter's own limit
+    on decimal digits, which ``int`` already applies to digit strings and
+    ``str`` needs to format the result.
+    """
+    m = _DECIMAL_WITH_EXPONENT.match(text)
+    if m is None:
+        return
+    whole, frac = m["whole"].replace("_", ""), (m["frac"] or "").replace("_", "")
+    shift = int(m["exp"]) - len(frac)
+    if shift >= 0:
+        digits = max(len((whole + frac).lstrip("0")), 1) + shift
+    else:
+        digits = 1 - shift
+    limit = sys.int_info.default_max_str_digits
+    if digits > limit:
+        raise InputError(
+            f"rational {text!r} would need {digits} decimal digits, over the limit of {limit}"
+        )
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer string, or a finite decimal into canonical form.
 
     Decimal strings convert exactly ("0.25" -> 1/4), never through binary
-    floating point.
+    floating point. A decimal exponent may not push the scaled integer past
+    the interpreter's limit on decimal digits.
     """
     try:
+        _check_exponent(text)
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise InputError(f"zero denominator in rational {text!r}") from None
@@ -41,8 +72,11 @@ def format_rational(value: Fraction) -> str:
 def rat(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or rational string to an exact Fraction.
 
-    Floats are rejected on purpose; they carry binary rounding error.
+    Floats are rejected on purpose; they carry binary rounding error. Bools
+    are rejected too, though Python counts them as ints.
     """
+    if isinstance(value, bool):
+        raise InputError(f"cannot interpret {value!r} as an exact rational")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -82,10 +116,6 @@ def mean_vector(vs: Sequence[Sequence[Fraction]]) -> Vector:
 
 def unit_vector(index: int, length: int) -> Vector:
     return tuple(Fraction(1 if j == index else 0) for j in range(length))
-
-
-def zero_vector(length: int) -> Vector:
-    return (Fraction(0),) * length
 
 
 @dataclass(frozen=True)
@@ -145,9 +175,6 @@ class Matrix:
             tuple(tuple(row[j] for j in indices) for row in self.entries),
             len(indices),
         )
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.entries]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from martpoly import (
     InputError,
     NotViableError,
+    augmented_matrix,
     apply_completion,
     characterize,
     complete_market,
@@ -19,10 +20,12 @@ from martpoly import (
     market_from_system,
     mixture,
     price_bounds,
+    rank,
     validate_weights,
     vector,
     verify_measure,
 )
+from martpoly.rationals import unit_vector
 from util import random_market, random_viable_market
 
 
@@ -320,3 +323,66 @@ def test_completion_soundness_random():
         sys = build_system(ext)
         sole = enumerate_generators(sys).generators
         assert len(sole) == 1
+
+
+def greedy_completing_outcomes(mkt):
+    """Oracle: add e_i, smallest i first, whenever it raises the augmented rank."""
+    b = mkt.outcomes
+    working = augmented_matrix(build_system(mkt))
+    current = rank(working)
+    full_rank = current == b
+    picks = []
+    for i in range(b):
+        if current == b:
+            break
+        extended = working.with_rows([unit_vector(i, b)])
+        new_rank = rank(extended)
+        if new_rank > current:
+            working, current = extended, new_rank
+            picks.append(i)
+    return tuple(picks), full_rank
+
+
+def dependent_rows_market(rng):
+    """Up to 8 outcomes; rows repeat, combine earlier rows, or are constant."""
+    b = rng.randint(1, 8)
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.random()
+        if rows and kind < 0.3:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.6:
+            a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+            u, w = rng.choice(rows), rng.choice(rows)
+            rows.append([a * x + c * y for x, y in zip(u, w)])
+        elif kind < 0.7:
+            rows.append([rng.randint(-3, 3)] * b)
+        else:
+            rows.append([rng.randint(-4, 4) for _ in range(b)])
+    rhs = [rng.randint(-4, 4) for _ in rows]
+    return market_from_system(rows, rhs, outcomes=b)
+
+
+def assert_matches_greedy(mkt):
+    picks, full_rank = greedy_completing_outcomes(mkt)
+    char = characterize(mkt)
+    assert char.completing_outcomes == picks
+    assert char.complete == (char.emm_exists and full_rank)
+    if char.emm_exists:
+        plan = complete_market(mkt)
+        assert plan.added_payoff_rows.entries == tuple(
+            unit_vector(i, mkt.outcomes) for i in picks
+        )
+
+
+def test_completing_outcomes_match_greedy_on_dependent_rows():
+    rng = random.Random(7301)
+    for _ in range(300):
+        assert_matches_greedy(dependent_rows_market(rng))
+
+
+@pytest.mark.parametrize("seed", [411, 988, 140])
+def test_completing_outcomes_match_greedy_on_random_markets(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        assert_matches_greedy(random_market(rng))

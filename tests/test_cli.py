@@ -85,9 +85,34 @@ def test_analyze_malformed_input(tmp_path, capsys):
     assert main(["analyze", str(missing)]) == 2
 
 
+# one asset over 17 outcomes: above the default guard of 16, yet only 17 unit
+# faces and 136 pairs to solve
+WIDE_DOC = {"rate": "0", "spot": ["0"], "payoffs": [[str(v) for v in range(-8, 9)]]}
+
+
 def test_analyze_limit_exceeded(tmp_path, capsys):
     path = write_doc(tmp_path, "m.json", EX4_DOC)
     assert main(["analyze", path, "--max-outcomes", "3"]) == 3
+    # a guard below one is malformed input, not an exceeded limit
+    assert main(["analyze", path, "--max-outcomes", "0"]) == 2
+    assert main(["analyze", path, "--max-outcomes", "-1"]) == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_analyze_raised_limit_reaches_every_verdict(tmp_path, capsys):
+    path = write_doc(tmp_path, "m.json", WIDE_DOC)
+    assert main(["analyze", path]) == 3
+    capsys.readouterr()
+    code, doc = run_json(capsys, ["analyze", path, "--max-outcomes", "20", "--json"])
+    assert code == 0
+    gen_code, gen_doc = run_json(
+        capsys, ["generators", path, "--max-outcomes", "20", "--json"]
+    )
+    assert gen_code == 0
+    assert doc["generators"] == gen_doc["generators"]
+    assert len(doc["generators"]) == 1 + 8 * 8
+    assert doc["viable"] is True
+    assert doc["complete"] is False
 
 
 def test_max_outcomes_env_override(tmp_path, capsys, monkeypatch):
@@ -96,6 +121,12 @@ def test_max_outcomes_env_override(tmp_path, capsys, monkeypatch):
     assert main(["analyze", path]) == 3
     # an explicit flag wins over the environment
     assert main(["analyze", path, "--max-outcomes", "8"]) == 0
+    for bad in ("0", "-3", "many"):
+        monkeypatch.setenv("MARTPOLY_MAX_OUTCOMES", bad)
+        assert main(["analyze", path]) == 2
+    wide = write_doc(tmp_path, "wide.json", WIDE_DOC)
+    monkeypatch.setenv("MARTPOLY_MAX_OUTCOMES", "20")
+    assert main(["analyze", wide]) == 0
 
 
 def test_generators_command(tmp_path, capsys):
@@ -242,6 +273,17 @@ def test_kkl_not_viable_still_reports(capsys):
     assert code == 0
     assert doc["viable"] is False
     assert "put_root_value" not in doc
+
+
+def test_kkl_epsilon_requires_viable_lattice(capsys):
+    code = main(
+        [
+            "kkl", "--s0", "1", "--lambda", "1/8", "--eta", "1/8", "--rate", "2",
+            "--horizon", "1", "--steps", "1", "--epsilon", "1/100", "--json",
+        ]
+    )
+    assert code == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_kkl_invalid_params(capsys):

@@ -18,7 +18,13 @@ from martpoly import (
     complete_market,
     complete_tree,
     components,
+    augmented_matrix,
+    build_system,
     is_complete,
+    kkl_build,
+    kkl_params,
+    kkl_viability,
+    rank,
     tree_market_from_json_dict,
     tree_market_to_json_dict,
 )
@@ -314,3 +320,39 @@ def test_flat_tree_matches_one_period_verdicts():
         report = analyze_tree(tm)
         assert report.viable == characterize(direct).emm_exists
         assert report.complete == is_complete(direct)
+
+
+KKL_CASES = [
+    (s0, steps, rate)
+    for s0 in (1, 2, 3)
+    for steps in (1, 2, 3, 4)
+    for rate in ("0", "1/10", "3")
+]
+
+
+@pytest.mark.parametrize("s0,steps,rate", KKL_CASES)
+def test_tree_verdicts_match_per_component_walk(s0, steps, rate):
+    """Sharing records between repeated markets changes no report or plan."""
+    params = kkl_params(s0=s0, lam="1/32", eta="1/64", rate=rate, horizon=1, steps=steps)
+    tm = kkl_build(params)
+    walk = []
+    for comp in components(tm):
+        char = characterize(comp.market)
+        full_rank = rank(augmented_matrix(build_system(comp.market))) == comp.market.outcomes
+        walk.append((comp, char, char.emm_exists, char.emm_exists and full_rank))
+    report = analyze_tree(tm)
+    assert [
+        (r.component, r.characterization, r.viable, r.complete) for r in report.components
+    ] == walk
+    assert report.viable == all(w[2] for w in walk) == kkl_viability(params)
+    assert report.complete == all(w[3] for w in walk)
+    if not report.viable:
+        with pytest.raises(NotViableError):
+            complete_tree(tm)
+        return
+    expected = [
+        (comp.time, comp.node_id, complete_market(comp.market))
+        for comp, _, _, complete in walk
+        if not complete
+    ]
+    assert [(p.time, p.node_id, p.plan) for p in complete_tree(tm)] == expected

@@ -1,6 +1,7 @@
 """Exact parsing, RREF, and linear-system classification."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,23 @@ def test_format_round_trip():
 def test_rat_rejects_floats():
     with pytest.raises(InputError):
         rat(0.1)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_rat_rejects_bools(flag):
+    with pytest.raises(InputError):
+        rat(flag)
+
+
+def test_parse_decimal_exponent_bounded():
+    limit = sys.int_info.default_max_str_digits
+    # 10**(limit - 1) has exactly limit digits and still prints
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rational(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    assert parse_rational("2.5e3") == 2500
+    for bad in [f"1e{limit}", f"1e-{limit}", "1e200000", "0e200000", "1.5e-200000"]:
+        with pytest.raises(InputError):
+            parse_rational(bad)
 
 
 def test_rref_single_pivot():
