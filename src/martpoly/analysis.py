@@ -271,12 +271,14 @@ def complete_market(
 
     added = [unit_vector(i, b) for i in char.completing_outcomes]
 
+    # a unit payoff's value under a measure is that measure's entry
     discount = 1 + mkt.rate
     price_map = tuple(
-        tuple(dot(row, g) / discount for g in char.generators) for row in added
+        tuple(g[i] / discount for g in char.generators)
+        for i in char.completing_outcomes
     )
     blended = mixture(char.generators, w)
-    prices = tuple(dot(row, blended) / discount for row in added)
+    prices = tuple(blended[i] / discount for i in char.completing_outcomes)
     return CompletionPlan(
         added_payoff_rows=Matrix(tuple(added), b),
         price_map=price_map,

@@ -360,8 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_json(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        add_json(p)
         p.add_argument(
             "--max-outcomes",
             type=int,
@@ -424,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kkl.add_argument("--seed", type=int, default=0, help="perturbation seed")
     p_kkl.add_argument("--out", default=None, metavar="CSV",
                        help="write the value surface as t,k,value")
-    add_common(p_kkl)
+    add_json(p_kkl)
     p_kkl.set_defaults(func=cmd_kkl)
 
     return parser

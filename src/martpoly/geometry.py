@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, InternalContractError, LimitExceededError
 from .market import MartingaleSystem
-from .rationals import Matrix, SolutionSpace, Vector, solve
+from .rationals import Matrix, SolutionSpace, Vector, eliminate, solve
 
 Face = tuple[int, ...]
 
@@ -98,6 +98,12 @@ def _embed(face: Face, coords: Sequence[Fraction], outcomes: int) -> Vector:
 def face_intersection(sys: MartingaleSystem, face: Iterable[int]) -> Vector | None:
     """Point where one simplex face meets the affine solution space, if any.
 
+    The restricted system (mass one on the face, the asset rows with the
+    other columns dropped) is taken from ``sys.integer_rows`` and reduced by
+    the fraction-free ``eliminate``, so the face is decided in integers:
+    coordinate i of the solution is ``rows[i][k] / rows[i][i]`` and its sign
+    is the sign of their product. Fractions are built only for a hit.
+
     Intended for faces none of whose proper subfaces meets A (the invariant
     the staged enumeration maintains). Under that precondition:
 
@@ -116,19 +122,23 @@ def face_intersection(sys: MartingaleSystem, face: Iterable[int]) -> Vector | No
       through caller misuse or an enumeration bug.
     """
     idx = _normalize_face(face, sys.outcomes)
-    space = _face_solution(sys, idx)
-    if space.kind != "unique":
+    k = len(idx)
+    rhs = sys.outcomes
+    rows = [[row[j] for j in idx] + [row[rhs]] for row in sys.integer_rows]
+    pivots = eliminate(rows, k + 1)
+    # unique exactly when the pivots are the k face columns, none on the rhs
+    if len(pivots) != k or pivots[-1] != k - 1:
         return None
-    coords = space.particular
-    assert coords is not None
-    if all(x > 0 for x in coords):
+    signs = [rows[i][k] * rows[i][i] for i in range(k)]
+    if any(s < 0 for s in signs):
+        return None
+    coords = tuple(Fraction(rows[i][k], rows[i][i]) for i in range(k))
+    if all(s > 0 for s in signs):
         return _embed(idx, coords, sys.outcomes)
-    if all(x >= 0 for x in coords):
-        raise InternalContractError(
-            f"face {idx}: solution {coords} sits on a proper subface; "
-            "the no-subface-intersection precondition was violated"
-        )
-    return None
+    raise InternalContractError(
+        f"face {idx}: solution {coords} sits on a proper subface; "
+        "the no-subface-intersection precondition was violated"
+    )
 
 
 def _stage_candidates(non_intersecting: set[Face], outcomes: int) -> list[Face]:

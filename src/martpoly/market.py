@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -17,6 +18,7 @@ from .rationals import (
     RationalLike,
     Vector,
     format_rational,
+    integer_row,
     rat,
     vector,
 )
@@ -126,6 +128,21 @@ class MartingaleSystem:
     @property
     def outcomes(self) -> int:
         return self.matrix.cols
+
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The row [1 ... 1 | 1], then each [matrix_i | rhs_i], scaled to integers.
+
+        Each row is a positive multiple of the equation it stands for, so
+        any column selection of these rows is the matching restricted
+        system with its denominators already cleared. Computed once per
+        system; not a field, so equality and hashing ignore it.
+        """
+        ones = (Fraction(1),) * (self.outcomes + 1)
+        equations = (ones,) + tuple(
+            row + (c,) for row, c in zip(self.matrix.entries, self.rhs)
+        )
+        return tuple(tuple(integer_row(row)) for row in equations)
 
 
 def build_system(mkt: OnePeriodMarket) -> MartingaleSystem:

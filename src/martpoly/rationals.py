@@ -1,7 +1,10 @@
 """Exact rational scalars, vectors, matrices, and linear-system solving.
 
-Everything downstream (market systems, polytope vertices, lattice pricing)
-runs on ``fractions.Fraction``. No floating point enters any decision path:
+Values everywhere downstream (market systems, polytope vertices, lattice
+pricing) are canonical ``fractions.Fraction``s. Elimination itself runs
+fraction-free: each row is scaled once to integers by the lcm of its
+denominators, ``eliminate`` reduces the integer rows, and ``rref`` divides
+by the pivots only at the end. No floating point enters any decision path:
 the verdicts rest on strict inequalities and exact ranks, and a tolerance
 would corrupt boundary cases such as measures sitting on a simplex face.
 """
@@ -12,6 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -22,6 +26,20 @@ RationalLike = Union[Fraction, int, str]
 _DECIMAL_WITH_EXPONENT = re.compile(
     r"\s*[-+]?(?P<whole>[\d_]*)(?:\.(?P<frac>[\d_]*))?[eE](?P<exp>[-+]?[\d_]+)\s*\Z"
 )
+
+
+_ECHO_LIMIT = 64
+
+
+def _quoted(text: object) -> str:
+    """The input as quoted in an error: whole when short, else a prefix and length.
+
+    A rejected number is echoed back to the user, so an input of megabytes
+    must not become a message of megabytes.
+    """
+    if not isinstance(text, str) or len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 def _check_exponent(text: str) -> None:
@@ -44,7 +62,7 @@ def _check_exponent(text: str) -> None:
     limit = sys.int_info.default_max_str_digits
     if digits > limit:
         raise InputError(
-            f"rational {text!r} would need {digits} decimal digits, over the limit of {limit}"
+            f"rational {_quoted(text)} would need {digits} decimal digits, over the limit of {limit}"
         )
 
 
@@ -59,9 +77,9 @@ def parse_rational(text: str) -> Fraction:
         _check_exponent(text)
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise InputError(f"zero denominator in rational {text!r}") from None
+        raise InputError(f"zero denominator in rational {_quoted(text)}") from None
     except (ValueError, TypeError):
-        raise InputError(f"malformed rational {text!r}") from None
+        raise InputError(f"malformed rational {_quoted(text)}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -189,32 +207,61 @@ class Echelon:
         return len(self.pivots)
 
 
-def rref(m: Matrix) -> Echelon:
-    """Reduced row echelon form by Gauss-Jordan elimination, exactly.
+def integer_row(values: Iterable[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators: a list of integers."""
+    row = list(values)
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
-    The result is the unique RREF of the input; intermediate entries may grow
-    well beyond machine integers, which is why everything is a Fraction.
+
+def eliminate(rows: list[list[int]], cols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place; the pivot columns.
+
+    Row i is replaced by ``p * row_i - f * pivot_row`` (p the pivot, f the
+    entry of row i in the pivot column) and then divided by the gcd of its
+    entries, so every row stays a nonzero integer multiple of the matching
+    row of Fraction Gauss-Jordan on the same input. Pivots, zero patterns
+    and signs therefore agree with it: after the call, row i < rank has its
+    pivot at ``pivots[i]``, zeros in the other pivot columns, and the
+    reduced entry at column j is ``rows[i][j] / rows[i][pivots[i]]``. Rows
+    from the rank on are zero.
     """
-    rows = [list(r) for r in m.entries]
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
+    for c in range(cols):
         if r == len(rows):
             break
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        if pivot != 1:
-            rows[r] = [x / pivot for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                combined = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*combined)
+                rows[i] = [x // g for x in combined] if g > 1 else combined
         pivots.append(c)
         r += 1
-    return Echelon(Matrix.from_rows(rows, m.cols), tuple(pivots))
+    return pivots
+
+
+def rref(m: Matrix) -> Echelon:
+    """Reduced row echelon form, exactly, with canonical Fraction entries.
+
+    The input rows are cleared of denominators and reduced by ``eliminate``;
+    each nonzero row is then divided by its pivot. The result is the unique
+    RREF of the input.
+    """
+    rows = [integer_row(r) for r in m.entries]
+    pivots = eliminate(rows, m.cols)
+    zero = (Fraction(0),) * m.cols
+    reduced = tuple(
+        tuple(Fraction(x, row[pc]) for x in row) for row, pc in zip(rows, pivots)
+    ) + (zero,) * (len(rows) - len(pivots))
+    return Echelon(Matrix(reduced, m.cols), tuple(pivots))
 
 
 def rank(m: Matrix) -> int:

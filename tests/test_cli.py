@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from martpoly import parse_rational
 from martpoly.cli import main
 
@@ -284,6 +286,19 @@ def test_kkl_epsilon_requires_viable_lattice(capsys):
     )
     assert code == 4
     assert capsys.readouterr().out == ""
+
+
+def test_kkl_rejects_max_outcomes(capsys):
+    # kkl enumerates no faces, so the guard flag is a usage error, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "kkl", "--s0", "1", "--lambda", "1/8", "--eta", "1/8",
+                "--steps", "2", "--max-outcomes", "-5",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-outcomes" in capsys.readouterr().err
 
 
 def test_kkl_invalid_params(capsys):

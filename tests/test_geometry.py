@@ -2,13 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martpoly import (
     InputError,
     InternalContractError,
     LimitExceededError,
+    Matrix,
     brute_force_generators,
     convex_hull_member,
     enumerate_generators,
@@ -17,6 +21,7 @@ from martpoly import (
     system_from_rows,
     vector,
 )
+from test_rationals import fraction_rref
 from util import random_system
 
 
@@ -219,3 +224,75 @@ def test_convex_hull_member_basics():
     assert convex_hull_member(V("1/2", "1/2"), [V(1, 0), V(0, 1)])
     assert not convex_hull_member(V(2, -1), [V(1, 0), V(0, 1)])
     assert not convex_hull_member(V(1, 0), [])
+
+
+def fraction_face_point(sys, face):
+    """Oracle: a face's intersection point by Fraction Gauss-Jordan.
+
+    Returns the embedded point, None for a miss, or "subface" when the unique
+    solution is nonnegative with a zero coordinate.
+    """
+    k = len(face)
+    rows = [[Fraction(1)] * (k + 1)] + [
+        [row[j] for j in face] + [c] for row, c in zip(sys.matrix.entries, sys.rhs)
+    ]
+    ech = fraction_rref(Matrix.from_rows(rows, k + 1))
+    if ech.pivots != tuple(range(k)):
+        return None
+    coords = [ech.matrix.entries[i][k] for i in range(k)]
+    if all(x > 0 for x in coords):
+        point = [Fraction(0)] * sys.outcomes
+        for j, x in zip(face, coords):
+            point[j] = x
+        return tuple(point)
+    return "subface" if all(x >= 0 for x in coords) else None
+
+
+SMALL = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+)
+
+
+@st.composite
+def small_systems(draw):
+    """b <= 6 systems; repeated rows and columns and feasible rhs make degeneracy."""
+    b = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 4))
+    cols = [draw(st.lists(SMALL, min_size=n, max_size=n)) for _ in range(b)]
+    for j in range(1, b):
+        if draw(st.booleans()):
+            cols[j] = cols[draw(st.integers(0, j - 1))]
+    rows = [[cols[j][i] for j in range(b)] for i in range(n)]
+    if n and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 3), min_size=b, max_size=b))
+        rhs = [sum(w * x for w, x in zip(weights, row)) for row in rows]
+        if sum(weights) and draw(st.booleans()):
+            rhs = [x / sum(weights) for x in rhs]
+    else:
+        rhs = draw(st.lists(SMALL, min_size=n, max_size=n))
+    return system_from_rows(rows, rhs, outcomes=b)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_systems())
+def test_face_intersection_matches_fraction_classification(sys):
+    # check every face whose proper subfaces all miss, as the staged walk does
+    clean: set = set()
+    for size in range(1, sys.outcomes + 1):
+        for face in combinations(range(sys.outcomes), size):
+            if size > 1 and not all(
+                face[:j] + face[j + 1 :] in clean for j in range(size)
+            ):
+                continue
+            expected = fraction_face_point(sys, face)
+            if expected == "subface":
+                with pytest.raises(InternalContractError):
+                    face_intersection(sys, face)
+                continue
+            assert face_intersection(sys, face) == expected
+            if expected is None:
+                clean.add(face)
+    assert enumerate_generators(sys) == brute_force_generators(sys)

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martpoly import (
     InputError,
@@ -16,6 +18,7 @@ from martpoly import (
     rref,
     solve,
 )
+from martpoly.rationals import Echelon
 
 
 def test_parse_fraction_string():
@@ -69,6 +72,21 @@ def test_parse_decimal_exponent_bounded():
     for bad in [f"1e{limit}", f"1e-{limit}", "1e200000", "0e200000", "1.5e-200000"]:
         with pytest.raises(InputError):
             parse_rational(bad)
+
+
+def test_long_rejected_input_is_not_echoed_whole():
+    for bad in ["1e" + "9" * 5000, "x" * 5002, "1/" + "0" * 5000]:
+        with pytest.raises(InputError) as exc:
+            parse_rational(bad)
+        assert len(str(exc.value)) < 200
+        assert str(len(bad)) in str(exc.value)
+
+
+def test_short_rejected_input_is_echoed_whole():
+    with pytest.raises(InputError, match=r"^malformed rational 'a/b'$"):
+        parse_rational("a/b")
+    with pytest.raises(InputError, match=r"^zero denominator in rational '3/0'$"):
+        parse_rational("3/0")
 
 
 def test_rref_single_pivot():
@@ -166,3 +184,99 @@ def test_rank_matches_transpose_rank():
     for _ in range(40):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         assert rank(m) == rank(m.transpose())
+
+
+def fraction_rref(m: Matrix) -> Echelon:
+    """Oracle: Gauss-Jordan elimination with every entry a Fraction.
+
+    The elimination ``rref`` ran before it became fraction-free, kept as the
+    reference it must equal entry for entry.
+    """
+    rows = [list(r) for r in m.entries]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r][c]
+        if pivot != 1:
+            rows[r] = [x / pivot for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Echelon(Matrix.from_rows(rows, m.cols), tuple(pivots))
+
+
+ENTRIES = st.one_of(
+    st.integers(-9, 9).map(Fraction),
+    st.builds(
+        Fraction,
+        st.integers(-(10**12), 10**12),
+        st.integers(1, 10**9) | st.integers(-(10**9), -1),
+    ),
+)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=6, max_cols=7):
+    """Matrices whose rows are drawn, zero, repeats or combinations of earlier rows."""
+    cols = draw(st.integers(0, max_cols))
+    rows: list[list[Fraction]] = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(["drawn", "zero", "repeat", "combined"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * cols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combined" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(ENTRIES), draw(ENTRIES)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(ENTRIES, min_size=cols, max_size=cols)))
+    return Matrix.from_rows(rows, cols)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rational_matrices())
+def test_rref_equals_fraction_gauss_jordan(m):
+    ech = rref(m)
+    oracle = fraction_rref(m)
+    assert ech.pivots == oracle.pivots
+    assert ech.matrix == oracle.matrix
+    for row in ech.matrix.entries:
+        for x in row:
+            assert type(x) is Fraction
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_matches_fraction_gauss_jordan(m, data):
+    rhs = data.draw(st.lists(ENTRIES, min_size=m.rows, max_size=m.rows))
+    space = solve(m, rhs)
+    augmented = Matrix(
+        tuple(row + (c,) for row, c in zip(m.entries, rhs)), m.cols + 1
+    )
+    pivots = fraction_rref(augmented).pivots
+    if m.cols in pivots:
+        assert space.kind == "inconsistent"
+        assert space.particular is None and space.basis == ()
+        return
+    free = [j for j in range(m.cols) if j not in pivots]
+    assert space.kind == ("affine" if free else "unique")
+    # free variables at zero pin the particular solution, and one free
+    # variable at one, the others at zero, pins each basis vector
+    assert m.mul_vec(space.particular) == tuple(rhs)
+    assert all(space.particular[j] == 0 for j in free)
+    assert len(space.basis) == len(free)
+    zero = (Fraction(0),) * m.rows
+    for f, v in zip(free, space.basis):
+        assert m.mul_vec(v) == zero
+        assert [v[j] for j in free] == [int(j == f) for j in free]
