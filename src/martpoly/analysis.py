@@ -20,15 +20,15 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, NotViableError
 from .geometry import DEFAULT_MAX_OUTCOMES, GeneratorSet, enumerate_generators
-from .market import OnePeriodMarket, augmented_matrix, build_system
+from .market import OnePeriodMarket, build_system
 from .rationals import (
     Matrix,
     RationalLike,
     Vector,
     dot,
+    eliminate,
     mean_vector,
     rank,  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
-    rref,
     unit_vector,
     vector,
 )
@@ -109,8 +109,9 @@ def characterize(
 
     Adding the unit payoff e_i raises the augmented rank exactly when no
     vector of the current row space has its last nonzero entry at i. Those
-    last-nonzero positions are the pivots of the RREF with the columns
-    reversed, so the completing outcomes are the remaining positions.
+    last-nonzero positions are the pivots with the columns reversed, so the
+    completing outcomes are the remaining positions. The rows eliminated are
+    ``sys.integer_rows`` without the rhs: multiples of [1; payoffs].
     """
     sys = build_system(mkt)
     gens = enumerate_generators(sys, max_outcomes=max_outcomes)
@@ -120,8 +121,8 @@ def characterize(
         for i in range(b)
     )
     emm_exists = all(support)
-    reversed_rows = augmented_matrix(sys).select_columns(range(b - 1, -1, -1))
-    spanned = {b - 1 - p for p in rref(reversed_rows).pivots}
+    reversed_rows = [list(r[b - 1 :: -1]) for r in sys.integer_rows]
+    spanned = {b - 1 - p for p in eliminate(reversed_rows, b)}
     return EmmCharacterization(
         generators=gens,
         outcome_support=support,

@@ -24,6 +24,7 @@ from .errors import (
     MartpolyError,
     NotViableError,
     PerturbationError,
+    quoted,
 )
 from .geometry import DEFAULT_MAX_OUTCOMES
 from .market import OnePeriodMarket, market_from_json_dict, market_to_json_dict
@@ -85,10 +86,10 @@ def _max_outcomes(args: argparse.Namespace) -> int:
         try:
             value = int(env)
         except ValueError:
-            raise InputError(f"{ENV_MAX_OUTCOMES}={env!r} is not an integer") from None
+            raise InputError(f"{ENV_MAX_OUTCOMES}={quoted(env)} is not an integer") from None
         source = ENV_MAX_OUTCOMES
     if value < 1:
-        raise InputError(f"{source} must be at least 1, got {value}")
+        raise InputError(f"{source} must be at least 1, got {quoted(value)}")
     return value
 
 

@@ -23,3 +23,23 @@ class PerturbationError(MartpolyError):
 
 class InternalContractError(MartpolyError):
     """A mathematically unreachable branch was taken; indicates a bug."""
+
+
+_ECHO_LIMIT = 64
+
+
+def quoted(value: object) -> str:
+    """An outside value as echoed in an error: its repr, cut past 64 characters.
+
+    A string is measured before quoting, any other value after. A cut value
+    keeps a prefix and its full length, so megabytes of input never become
+    megabytes of message.
+    """
+    if isinstance(value, str):
+        if len(value) <= _ECHO_LIMIT:
+            return repr(value)
+        return f"{value[:_ECHO_LIMIT]!r}... ({len(value)} characters)"
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"

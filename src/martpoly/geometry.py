@@ -160,22 +160,21 @@ def _stage_candidates(non_intersecting: set[Face], outcomes: int) -> list[Face]:
 
 
 def enumerate_generators(
-    sys: MartingaleSystem,
-    *,
-    max_outcomes: int = DEFAULT_MAX_OUTCOMES,
-    use_dimension_pruning: bool = True,
+    sys: MartingaleSystem, *, max_outcomes: int = DEFAULT_MAX_OUTCOMES
 ) -> GeneratorSet:
     """Vertices of {q >= 0, sum(q) = 1, matrix q = rhs} by staged face walk.
 
     Stage k inspects the faces spanned by k outcomes whose entire boundary
     was recorded as missing A in stage k-1; an intersecting face contributes
-    the unique point of its relative interior that lies in A. Two shortcuts:
+    the unique point of its relative interior that lies in A. One
+    elimination of ``sys.integer_rows`` (the mass-one row over
+    ``[matrix | rhs]``) bounds the walk first:
 
-    * if the unconstrained linear system is inconsistent, A is empty and the
-      result is immediately empty;
-    * when ``use_dimension_pruning`` is on, stages k >= b + 2 - dim(A) are
-      skipped outright: a face that wide intersecting A would already have
-      intersected on its boundary, so it cannot carry a vertex.
+    * a pivot in the rhs column means the full system is inconsistent, so
+      the measure set is empty and so is the result;
+    * otherwise the walk stops after stage rank [1; matrix], the number of
+      pivots: a vertex's support columns are linearly independent, so no
+      wider face can carry one.
 
     The face scan is exponential in b, so ``max_outcomes`` turns a silent
     blow-up into an explicit LimitExceededError.
@@ -185,12 +184,10 @@ def enumerate_generators(
         raise LimitExceededError(
             f"{b} outcomes exceeds the face-enumeration guard of {max_outcomes}"
         )
-    space = solve(sys.matrix, sys.rhs)
-    if not space.is_consistent:
+    pivots = eliminate([list(r) for r in sys.integer_rows], b + 1)
+    if pivots[-1] == b:
         return GeneratorSet(b, ())
-    last_stage = b
-    if use_dimension_pruning:
-        last_stage = min(b, b + 1 - space.dim)
+    last_stage = len(pivots)
 
     generators: list[Vector] = []
     faces: list[Face] = [(i,) for i in range(b)]

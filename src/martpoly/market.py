@@ -135,8 +135,10 @@ class MartingaleSystem:
 
         Each row is a positive multiple of the equation it stands for, so
         any column selection of these rows is the matching restricted
-        system with its denominators already cleared. Computed once per
-        system; not a field, so equality and hashing ignore it.
+        system with its denominators already cleared: the face walk reads
+        every column and each face's, ``characterize`` the payoff columns
+        reversed. Computed once per system; not a field, so equality and
+        hashing ignore it.
         """
         ones = (Fraction(1),) * (self.outcomes + 1)
         equations = (ones,) + tuple(

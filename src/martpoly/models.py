@@ -228,17 +228,15 @@ def kkl_params(
 
 
 def kkl_grid(params: KklParams) -> tuple[tuple[int, ...], ...]:
-    """Reachable integer states per step: start at s0, zero absorbs."""
-    levels: list[tuple[int, ...]] = [(params.s0,)]
-    for _ in range(params.steps):
-        nxt: set[int] = set()
-        for k in levels[-1]:
-            if k == 0:
-                nxt.add(0)
-            else:
-                nxt.update((k - 1, k, k + 1))
-        levels.append(tuple(sorted(nxt)))
-    return tuple(levels)
+    """Reachable integer states per step: start at s0, zero absorbs.
+
+    A state k >= 1 moves to k - 1, k or k + 1, so step t reaches exactly
+    the integers within t of s0 that are not negative.
+    """
+    s0 = params.s0
+    return tuple(
+        tuple(range(max(0, s0 - t), s0 + t + 1)) for t in range(params.steps + 1)
+    )
 
 
 def kkl_transition(params: KklParams, k: int) -> Vector:

@@ -18,7 +18,7 @@ from .analysis import (
     characterize,
     complete_market,
 )
-from .errors import InputError, NotViableError
+from .errors import InputError, NotViableError, quoted
 from .geometry import DEFAULT_MAX_OUTCOMES
 from .market import OnePeriodMarket
 from .market import build_system  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
@@ -45,16 +45,16 @@ class EventTree:
         by_id: dict[str, TreeNode] = {}
         for node in node_list:
             if node.id in by_id:
-                raise InputError(f"duplicate node id {node.id!r}")
+                raise InputError(f"duplicate node id {quoted(node.id)}")
             by_id[node.id] = node
 
         parents: dict[str, str] = {}
         for node in node_list:
             for child in node.children:
                 if child not in by_id:
-                    raise InputError(f"node {node.id!r} references unknown child {child!r}")
+                    raise InputError(f"node {quoted(node.id)} references unknown child {quoted(child)}")
                 if child in parents:
-                    raise InputError(f"node {child!r} has more than one parent")
+                    raise InputError(f"node {quoted(child)} has more than one parent")
                 parents[child] = node.id
 
         roots = [n for n in node_list if n.id not in parents]
@@ -62,7 +62,7 @@ class EventTree:
             raise InputError(f"expected a single root, found {len(roots)}")
         root = roots[0]
         if root.time != 0:
-            raise InputError(f"root {root.id!r} must sit at time 0, not {root.time}")
+            raise InputError(f"root {quoted(root.id)} must sit at time 0, not {quoted(root.time)}")
 
         order: list[TreeNode] = []
         frontier = [root]
@@ -75,19 +75,19 @@ class EventTree:
                     child = by_id[child_id]
                     if child.time != node.time + 1:
                         raise InputError(
-                            f"child {child_id!r} at time {child.time} under "
-                            f"{node.id!r} at time {node.time}"
+                            f"child {quoted(child_id)} at time {quoted(child.time)} under "
+                            f"{quoted(node.id)} at time {quoted(node.time)}"
                         )
                     seen.add(child_id)
                     nxt.append(child)
             frontier = nxt
         if len(seen) != len(node_list):
             orphans = sorted(set(by_id) - seen)
-            raise InputError(f"nodes unreachable from the root: {orphans}")
+            raise InputError(f"nodes unreachable from the root: {quoted(orphans)}")
 
         leaf_times = {n.time for n in node_list if not n.children}
         if len(leaf_times) != 1:
-            raise InputError(f"leaves at mixed times {sorted(leaf_times)}")
+            raise InputError(f"leaves at mixed times {quoted(sorted(leaf_times))}")
 
         self._by_id = by_id
         self._order = tuple(order)
@@ -132,11 +132,11 @@ class TreeMarket:
         self.prices: dict[str, Vector] = {}
         for node in tree.nodes:
             if node.id not in prices:
-                raise InputError(f"no price vector for node {node.id!r}")
+                raise InputError(f"no price vector for node {quoted(node.id)}")
             pv = vector(prices[node.id])
             if len(pv) != assets:
                 raise InputError(
-                    f"node {node.id!r} has {len(pv)} prices for {assets} assets"
+                    f"node {quoted(node.id)} has {len(pv)} prices for {assets} assets"
                 )
             self.prices[node.id] = pv
         self.rates = vector(rates)
@@ -295,10 +295,10 @@ def tree_market_from_json_dict(doc: Mapping) -> TreeMarket:
         if not isinstance(node_id, str):
             raise InputError("node ids must be strings")
         if isinstance(time, bool) or not isinstance(time, int):
-            raise InputError(f"node {node_id!r}: time must be an integer")
+            raise InputError(f"node {quoted(node_id)}: time must be an integer")
         children = raw.get("children", [])
         if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
-            raise InputError(f"node {node_id!r}: children must be a list of ids")
+            raise InputError(f"node {quoted(node_id)}: children must be a list of ids")
         nodes.append(TreeNode(id=node_id, time=time, children=tuple(children)))
         prices[node_id] = node_prices
         if "probabilities" in raw:

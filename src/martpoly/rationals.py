@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import InputError
+from .errors import InputError, quoted
 
 Vector = tuple[Fraction, ...]
 RationalLike = Union[Fraction, int, str]
@@ -26,20 +26,6 @@ RationalLike = Union[Fraction, int, str]
 _DECIMAL_WITH_EXPONENT = re.compile(
     r"\s*[-+]?(?P<whole>[\d_]*)(?:\.(?P<frac>[\d_]*))?[eE](?P<exp>[-+]?[\d_]+)\s*\Z"
 )
-
-
-_ECHO_LIMIT = 64
-
-
-def _quoted(text: object) -> str:
-    """The input as quoted in an error: whole when short, else a prefix and length.
-
-    A rejected number is echoed back to the user, so an input of megabytes
-    must not become a message of megabytes.
-    """
-    if not isinstance(text, str) or len(text) <= _ECHO_LIMIT:
-        return repr(text)
-    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 def _check_exponent(text: str) -> None:
@@ -62,7 +48,7 @@ def _check_exponent(text: str) -> None:
     limit = sys.int_info.default_max_str_digits
     if digits > limit:
         raise InputError(
-            f"rational {_quoted(text)} would need {digits} decimal digits, over the limit of {limit}"
+            f"rational {quoted(text)} would need {digits} decimal digits, over the limit of {limit}"
         )
 
 
@@ -77,9 +63,9 @@ def parse_rational(text: str) -> Fraction:
         _check_exponent(text)
         return Fraction(text.strip())
     except ZeroDivisionError:
-        raise InputError(f"zero denominator in rational {_quoted(text)}") from None
+        raise InputError(f"zero denominator in rational {quoted(text)}") from None
     except (ValueError, TypeError):
-        raise InputError(f"malformed rational {_quoted(text)}") from None
+        raise InputError(f"malformed rational {quoted(text)}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -94,14 +80,14 @@ def rat(value: RationalLike) -> Fraction:
     are rejected too, though Python counts them as ints.
     """
     if isinstance(value, bool):
-        raise InputError(f"cannot interpret {value!r} as an exact rational")
+        raise InputError(f"cannot interpret {quoted(value)} as an exact rational")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise InputError(f"cannot interpret {value!r} as an exact rational")
+    raise InputError(f"cannot interpret {quoted(value)} as an exact rational")
 
 
 def vector(values: Iterable[RationalLike]) -> Vector:
@@ -112,16 +98,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise InputError(f"dot product of lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def scale(v: Sequence[Fraction], factor: Fraction) -> Vector:
-    return tuple(factor * x for x in v)
-
-
-def add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    if len(u) != len(v):
-        raise InputError(f"adding vectors of lengths {len(u)} and {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def mean_vector(vs: Sequence[Sequence[Fraction]]) -> Vector:

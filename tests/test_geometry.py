@@ -13,10 +13,13 @@ from martpoly import (
     InternalContractError,
     LimitExceededError,
     Matrix,
+    augmented_matrix,
     brute_force_generators,
     convex_hull_member,
     enumerate_generators,
     face_intersection,
+    geometry,
+    rank,
     solve,
     system_from_rows,
     vector,
@@ -163,10 +166,8 @@ def test_oracle_equivalence_random_systems():
     for _ in range(120):
         sys = random_system(rng)
         staged = enumerate_generators(sys).as_set()
-        unpruned = enumerate_generators(sys, use_dimension_pruning=False).as_set()
         oracle = brute_force_generators(sys).as_set()
         assert staged == oracle
-        assert unpruned == oracle
 
 
 def test_generators_are_sound_and_distinct():
@@ -296,3 +297,44 @@ def test_face_intersection_matches_fraction_classification(sys):
             if expected is None:
                 clean.add(face)
     assert enumerate_generators(sys) == brute_force_generators(sys)
+
+
+def recorded_face_widths(monkeypatch) -> list[int]:
+    """Width of every face the walk hands to ``face_intersection``."""
+    widths: list[int] = []
+    real = geometry.face_intersection
+
+    def recording(sys, face):
+        widths.append(len(face))
+        return real(sys, face)
+
+    monkeypatch.setattr(geometry, "face_intersection", recording)
+    return widths
+
+
+def test_walk_stops_at_augmented_rank_with_a_bond_row(monkeypatch):
+    # a constant payoff row puts the ones row in the row space of the
+    # payoffs, so rank [1; P] is rank(P), one less than rank(P) + 1
+    widths = recorded_face_widths(monkeypatch)
+    rng = random.Random(4242)
+    for _ in range(120):
+        b = rng.randint(2, 8)
+        rows = [[rng.randint(-9, 9) for _ in range(b)] for _ in range(rng.randint(0, 3))]
+        rows.insert(rng.randint(0, len(rows)), [rng.randint(1, 3)] * b)
+        weights = [Fraction(rng.randint(0, 3)) for _ in range(b)]
+        weights[rng.randrange(b)] += 1
+        q = [w / sum(weights) for w in weights]
+        rhs = [sum(x * p for x, p in zip(row, q)) for row in rows]
+        sys = system_from_rows(rows, rhs, outcomes=b)
+        widths.clear()
+        assert enumerate_generators(sys) == brute_force_generators(sys)
+        assert max(widths) <= rank(augmented_matrix(sys))
+
+
+def test_inconsistent_mass_one_system_walks_no_face(monkeypatch):
+    # q0 + q1 = 2 is consistent alone but not together with q0 + q1 = 1
+    widths = recorded_face_widths(monkeypatch)
+    sys = system_from_rows([[1, 1]], [2])
+    assert solve(sys.matrix, sys.rhs).is_consistent
+    assert len(enumerate_generators(sys)) == 0
+    assert widths == []

@@ -127,6 +127,20 @@ def test_json_document_rejects_malformed(doc):
         market_from_json_dict(doc)
 
 
+def test_long_non_string_value_is_not_echoed_whole():
+    doc = {"rate": [1] * 5000, "spot": ["1"], "payoffs": [["1", "2"]]}
+    with pytest.raises(InputError) as exc:
+        market_from_json_dict(doc)
+    assert len(str(exc.value)) < 200
+    assert "15000 characters" in str(exc.value)
+
+
+def test_short_non_string_value_is_echoed_whole():
+    doc = {"rate": [1], "spot": ["1"], "payoffs": [["1", "2"]]}
+    with pytest.raises(InputError, match=r"^cannot interpret \[1\] as an exact rational$"):
+        market_from_json_dict(doc)
+
+
 def test_scaling_an_asset_scales_its_system_row():
     rng = random.Random(55)
     for _ in range(25):

@@ -208,6 +208,28 @@ def test_kkl_grid_absorbs_at_zero():
     assert kkl_transition(params, 0) == (Fraction(1),)
 
 
+def simulated_kkl_grid(s0: int, steps: int) -> tuple[tuple[int, ...], ...]:
+    """Oracle: the reachable states, one step at a time; zero absorbs."""
+    levels: list[tuple[int, ...]] = [(s0,)]
+    for _ in range(steps):
+        nxt: set[int] = set()
+        for k in levels[-1]:
+            if k == 0:
+                nxt.add(0)
+            else:
+                nxt.update((k - 1, k, k + 1))
+        levels.append(tuple(sorted(nxt)))
+    return tuple(levels)
+
+
+def test_kkl_grid_matches_step_by_step_simulation():
+    for s0 in range(1, 12):
+        for steps in range(1, 40):
+            rate = Fraction(1, 4 * (s0 + steps))
+            params = kkl_params(s0=s0, lam=rate, eta=rate, steps=steps)
+            assert kkl_grid(params) == simulated_kkl_grid(s0, steps), (s0, steps)
+
+
 def test_kkl_params_validation():
     with pytest.raises(InputError):
         kkl_params(s0=0, lam="1/4", eta="1/4")

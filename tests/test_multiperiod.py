@@ -236,6 +236,24 @@ def test_tree_validation_rejects(nodes):
         EventTree(nodes)
 
 
+def test_long_node_ids_are_not_echoed_whole():
+    long_id = "n" * 5000
+    duplicated = [TreeNode(long_id, 0, ()), TreeNode(long_id, 0, ())]
+    unknown_child = [TreeNode("r", 0, (long_id,))]
+    for nodes in (duplicated, unknown_child):
+        with pytest.raises(InputError) as exc:
+            EventTree(nodes)
+        assert len(str(exc.value)) < 200
+        assert "5000 characters" in str(exc.value)
+
+
+def test_short_node_ids_are_echoed_whole():
+    with pytest.raises(InputError, match=r"^duplicate node id 'a'$"):
+        EventTree([TreeNode("a", 0, ()), TreeNode("a", 0, ())])
+    with pytest.raises(InputError, match=r"^node 'r' references unknown child 'ghost'$"):
+        EventTree([TreeNode("r", 0, ("ghost",))])
+
+
 def test_tree_market_validation():
     tree = EventTree([TreeNode("r", 0, ("a",)), TreeNode("a", 1, ())])
     with pytest.raises(InputError):
