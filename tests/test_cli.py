@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from martpoly import parse_rational
+from martpoly import models, parse_rational
 from martpoly.cli import main
 
 
@@ -309,6 +309,27 @@ def test_kkl_invalid_params(capsys):
         ]
     )
     assert code == 2
+
+
+def test_kkl_refuses_a_huge_grid_before_building_it(tmp_path, monkeypatch, capsys):
+    # valid and viable at a million steps, but about 5 * 10^11 grid states
+    def no_range(*args):
+        raise AssertionError("the grid was built before the guard")
+
+    monkeypatch.setattr(models, "range", no_range, raising=False)
+    out = str(tmp_path / "surface.csv")
+    code = main(
+        [
+            "kkl", "--s0", "1", "--lambda", "1/8", "--eta", "1/8",
+            "--steps", "1000000", "--epsilon", "1/100", "--out", out, "--json",
+        ]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "500002500001 states" in captured.err
+    assert f"limit of {models.MAX_GRID_STATES} states" in captured.err
+    assert not (tmp_path / "surface.csv").exists()
 
 
 def test_kkl_perturbation(tmp_path, capsys):

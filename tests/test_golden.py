@@ -2,7 +2,9 @@
 
 The digests are SHA-256 of the ``--json`` stdout recorded before the
 one-period analysis was folded into a single record; a refactor that keeps
-the library's behaviour keeps every digest.
+the library's behaviour keeps every digest. The ``kkl`` digests pin both the
+``--json`` stdout and the ``--out`` CSV bytes; they were recorded while the
+lattice was still priced by a Fraction recursion.
 """
 
 import hashlib
@@ -53,6 +55,40 @@ def test_json_output_digest(command, monkeypatch):
         code = main(command.split() + ["--json"])
     assert code == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[command]
+
+
+# kkl options -> (stdout digest, surface CSV digest). The CSV path is relative,
+# so the path echoed in the report is the same in every run.
+KKL_GOLDEN = {
+    # the README example
+    "--s0 2 --lambda 1/8 --eta 1/8 --rate 1/10 --horizon 1 --steps 4 "
+    "--emm-p 1/2 --epsilon 1/100 --seed 7": (
+        "c0a2ca98932d06e754018e8134cffc4a9a0d6d7c6429e3a8783c945c99d90e2e",
+        "edd4e4547debc2d228e3353f955ba79bc6ba48bde1cb7c19b762a65d80bf2a56",
+    ),
+    "--s0 3 --lambda 1/16 --eta 3/32 --rate=-1/5 --steps 8 --emm-p 3/8": (
+        "8046c3c0a8cbab5f5a0e0d8ae038b79c927489b2317ade4316edd8bf5c273127",
+        "695f9044ecbd7e8b72d307e86288fd7ea2e85d0a31d29969cb3a34f0c13b88ec",
+    ),
+    "--s0 2 --lambda 1/64 --eta 1/64 --rate 1/20 --steps 30 "
+    "--epsilon 1/1000 --seed 3": (
+        "1ea484f4415bb479e51f1a7cf42df2af36baa507597819903a186563e92fb053",
+        "9c17598bb600ed68964510db417972cb0e7e6cab5059071c28e2676024654428",
+    ),
+}
+
+
+@pytest.mark.parametrize("options", sorted(KKL_GOLDEN))
+def test_kkl_output_digest(options, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["kkl", *options.split(), "--out", "surface.csv", "--json"])
+    assert code == 0
+    stdout_digest, csv_digest = KKL_GOLDEN[options]
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == stdout_digest
+    csv_bytes = (tmp_path / "surface.csv").read_bytes()
+    assert hashlib.sha256(csv_bytes).hexdigest() == csv_digest
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

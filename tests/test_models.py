@@ -1,9 +1,13 @@
 """Factor-model closed forms and the birth-death lattice."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martpoly import (
     InputError,
@@ -37,6 +41,9 @@ from martpoly import (
     trinomial_price_interval,
     verify_measure,
 )
+from martpoly import models
+from martpoly.models import EmmParameter, kkl_grid_size
+from martpoly.rationals import RationalLike, rat
 from util import random_viable_trinomial
 
 
@@ -440,3 +447,263 @@ def test_kkl_tree_pipeline_agrees_with_state_markets():
         assert characterize(state_market).generators == (
             comp_report.characterization.generators
         )
+
+
+def test_kkl_grid_size_matches_built_grid():
+    for s0 in range(1, 12):
+        for steps in range(1, 40):
+            rate = Fraction(1, 4 * (s0 + steps))
+            levels = kkl_grid(kkl_params(s0=s0, lam=rate, eta=rate, steps=steps))
+            assert kkl_grid_size(s0, steps) == sum(map(len, levels)), (s0, steps)
+
+
+def test_kkl_grid_refuses_a_huge_lattice_before_building_it(monkeypatch):
+    # valid and viable, but about 5 * 10^11 states
+    params = kkl_params(s0=1, lam="1/8", eta="1/8", steps=10**6)
+    assert kkl_viability(params)
+
+    def no_range(*args):
+        raise AssertionError("the grid was built before the guard")
+
+    monkeypatch.setattr(models, "range", no_range, raising=False)
+    with pytest.raises(LimitExceededError) as exc:
+        kkl_grid(params)
+    message = str(exc.value)
+    assert "500002500001 states" in message
+    assert f"limit of {models.MAX_GRID_STATES} states" in message
+    with pytest.raises(LimitExceededError):
+        put_terminal(params)
+    with pytest.raises(LimitExceededError):
+        kkl_backward_induction(params, {})
+
+
+def test_kkl_grid_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(models, "MAX_GRID_STATES", kkl_grid_size(2, 4))
+    rate = Fraction(1, 32)
+    assert len(kkl_grid(kkl_params(s0=2, lam=rate, eta=rate, steps=4))) == 5
+    with pytest.raises(LimitExceededError):
+        kkl_grid(kkl_params(s0=2, lam=rate, eta=rate, steps=5))
+
+
+def test_kkl_grid_limit_admits_the_reference_lattice():
+    # the 200-step lattice that benchmarks/run.py --reference prices
+    assert kkl_grid_size(2, 200) <= models.MAX_GRID_STATES
+
+
+# ---------------------------------------------------------------------------
+# integer layers against the Fraction recursion they replaced
+
+
+@dataclass(frozen=True)
+class FractionSurface:
+    steps: int
+    values: dict
+
+
+def fraction_backward_induction(
+    params, terminal: Mapping[int, RationalLike], emm_p: EmmParameter = Fraction(1, 2)
+) -> FractionSurface:
+    """Oracle: the Fraction recursion that the integer layers replaced."""
+    if not kkl_viability(params):
+        raise NotViableError(
+            "no equivalent node measures: horizon * |rate| * (s0 + steps - 1) >= steps"
+        )
+    levels = kkl_grid(params)
+    values: dict[tuple[int, int], Fraction] = {}
+    for k in levels[-1]:
+        if k not in terminal:
+            raise InputError(f"terminal value missing for state {k}")
+        values[(params.steps, k)] = rat(terminal[k])
+
+    fixed = None if callable(emm_p) else rat(emm_p)
+
+    discount = 1 / (1 + params.step_rate)
+    measure_cache: dict = {}
+    for t in reversed(range(params.steps)):
+        for k in levels[t]:
+            if k == 0:
+                values[(t, 0)] = discount * values[(t + 1, 0)]
+                continue
+            p = fixed if fixed is not None else rat(emm_p(t, k))
+            key = (k, p)
+            q = measure_cache.get(key)
+            if q is None:
+                q = kkl_node_emm(params, k, p)
+                measure_cache[key] = q
+            values[(t, k)] = discount * (
+                q[0] * values[(t + 1, k - 1)]
+                + q[1] * values[(t + 1, k)]
+                + q[2] * values[(t + 1, k + 1)]
+            )
+    return FractionSurface(steps=params.steps, values=values)
+
+
+def fraction_completion_check(surface: FractionSurface) -> tuple[tuple[int, int], ...]:
+    """Oracle: the Fraction second differences that the integer test replaced."""
+    bad: list[tuple[int, int]] = []
+    for (t, k) in sorted(surface.values):
+        if t >= surface.steps or k < 1:
+            continue
+        second = (
+            surface.values[(t + 1, k - 1)]
+            - 2 * surface.values[(t + 1, k)]
+            + surface.values[(t + 1, k + 1)]
+        )
+        if second == 0:
+            bad.append((t, k))
+    return tuple(bad)
+
+
+def assert_surfaces_agree(params, terminal, emm_p):
+    surface = kkl_backward_induction(params, terminal, emm_p)
+    oracle = fraction_backward_induction(params, terminal, emm_p)
+    assert len(surface.values) == len(oracle.values)
+    assert sorted(surface.values) == sorted(oracle.values)
+    for key, expected in oracle.values.items():
+        value = surface.values[key]
+        assert type(value) is Fraction and value == expected, key
+    assert kkl_completion_check(surface) == fraction_completion_check(oracle)
+    return surface
+
+
+@st.composite
+def lattices(draw):
+    """Valid viable lattices: intensities and rate drawn inside their bounds."""
+    s0 = draw(st.integers(1, 6))
+    steps = draw(st.integers(1, 40))
+    horizon = Fraction(draw(st.integers(1, 8)), draw(st.integers(1, 4)))
+    top = s0 + steps - 1
+    # (lam + eta) * top * horizon / steps = u < 1 keeps every probability in (0, 1)
+    u = Fraction(draw(st.integers(1, 31)), 32)
+    total = u * steps / (top * horizon)
+    split = Fraction(draw(st.integers(1, 7)), 8)
+    # horizon * |rate| * top < steps keeps every node measure equivalent
+    rate = (
+        draw(st.sampled_from([-1, 0, 1]))
+        * Fraction(draw(st.integers(0, 15)), 16)
+        * steps / (top * horizon)
+    )
+    return kkl_params(
+        s0=s0, lam=total * split, eta=total * (1 - split), rate=rate,
+        horizon=horizon, steps=steps,
+    )
+
+
+@st.composite
+def node_parameters(draw):
+    """A fixed parameter in (0, 1), or a callable of (step, state)."""
+    if draw(st.booleans()):
+        denominator = draw(st.integers(2, 40))
+        return Fraction(draw(st.integers(1, denominator - 1)), denominator)
+    a, b = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    m = draw(st.integers(1, 12))
+    return lambda t, k: Fraction(1 + (a * t + b * k) % m, m + 1)
+
+
+@st.composite
+def terminals(draw, params):
+    states = kkl_grid(params)[-1]
+    kind = draw(st.sampled_from(["put", "perturbed", "random"]))
+    base = put_terminal(params)
+    if kind == "put":
+        return base
+    if kind == "perturbed":
+        eps = Fraction(1, draw(st.integers(1, 1000)))
+        return {
+            k: base[k] + eps * Fraction(draw(st.integers(1, 2**16 - 1)), 2**16)
+            for k in states
+        }
+    return {
+        k: Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 30)))
+        for k in states
+    }
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_layers_match_fraction_recursion(data):
+    params = data.draw(lattices())
+    emm_p = data.draw(node_parameters())
+    terminal = data.draw(terminals(params))
+    assert_surfaces_agree(params, terminal, emm_p)
+
+
+def test_integer_layers_match_fraction_recursion_on_named_cases():
+    put_fails = kkl_params(s0=2, lam="1/16", eta="1/16", rate=0, horizon=1, steps=2)
+    assert_surfaces_agree(put_fails, put_terminal(put_fails), Fraction(1, 2))
+    params = kkl_params(s0=3, lam="1/16", eta="3/32", rate="-1/5", horizon=1, steps=8)
+    assert_surfaces_agree(params, put_terminal(params), Fraction(3, 8))
+    assert_surfaces_agree(
+        params, {k: str(Fraction(k * k - 7, 3)) for k in kkl_grid(params)[-1]},
+        lambda t, k: Fraction(1 + (t + k) % 3, 4),
+    )
+    result = kkl_perturb_terminal(params, Fraction(1, 1000), seed=3)
+    assert_surfaces_agree(params, result.terminal, Fraction(1, 2))
+
+
+def test_surface_values_mapping():
+    params = kkl_params(s0=2, lam="1/16", eta="1/16", rate="1/10", horizon=1, steps=4)
+    surface = kkl_backward_induction(params, put_terminal(params))
+    values = surface.values
+    levels = kkl_grid(params)
+    keys = [(t, k) for t, level in enumerate(levels) for k in level]
+    assert len(values) == len(keys) == kkl_grid_size(2, 4)
+    assert list(values) == keys
+    assert [(t, k) for t, k, _ in values.rows()] == keys
+    assert surface.terminal_states() == levels[-1]
+    off_grid = ((0, 3), (0, 1), (1, 4), (5, 0), (-1, 2), (-1, 3), (4, -1), (3, -1))
+    for key in (*off_grid, "t", (1, 2, 3)):
+        assert key not in values
+        with pytest.raises(KeyError):
+            values[key]
+    with pytest.raises(KeyError):
+        surface.value(0, 1)
+    with pytest.raises(TypeError):
+        values[(0, 2)] = Fraction(0)  # read-only
+
+
+def literal_tree_values(params, terminal, emm_p):
+    """Oracle: price every path node of the literal ``kkl_build`` tree."""
+    tree_market = kkl_build(params)
+    tree = tree_market.tree
+    values: dict[str, Fraction] = {}
+
+    def price(node_id: str) -> Fraction:
+        node = tree.node(node_id)
+        k = int(tree_market.prices[node_id][0])
+        if not node.children:
+            value = rat(terminal[k])
+        else:
+            children = [price(child) for child in node.children]
+            discount = 1 / (1 + tree_market.rates[node.time])
+            if k == 0:
+                value = discount * children[0]
+            else:
+                p = emm_p(node.time, k) if callable(emm_p) else emm_p
+                q = kkl_node_emm(params, k, p)
+                value = discount * sum(w * v for w, v in zip(q, children))
+        values[node_id] = value
+        return value
+
+    price(tree.root)
+    return tree_market, values
+
+
+def test_integer_layers_match_the_literal_tree():
+    rng = random.Random(41)
+    for s0 in range(1, 5):
+        for steps in range(1, 6):
+            for rate in ("0", "1/7", "-1/5"):
+                params = kkl_params(s0=s0, lam="1/32", eta="3/64", rate=rate,
+                                    horizon=1, steps=steps)
+                states = kkl_grid(params)[-1]
+                for terminal, emm_p in (
+                    (put_terminal(params), Fraction(1, 2)),
+                    ({k: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for k in states},
+                     lambda t, k: Fraction(1 + (2 * t + k) % 5, 6)),
+                ):
+                    surface = kkl_backward_induction(params, terminal, emm_p)
+                    tree_market, values = literal_tree_values(params, terminal, emm_p)
+                    for node in tree_market.tree.nodes:
+                        k = int(tree_market.prices[node.id][0])
+                        assert surface.value(node.time, k) == values[node.id], node.id
