@@ -256,11 +256,17 @@ def complete_market(
     The rows are the unit payoffs of ``completing_outcomes``: the greedy
     choice, smallest outcome index first, of those that increase the rank of
     the ones-plus-payoffs matrix; an already complete market yields an empty
-    plan. Prices of the added assets are the
-    discounted mixture values under ``weights`` (uniform by default, which is
-    always admissible on a viable market).
+    plan. Prices of the added assets are the discounted mixture values under
+    ``weights`` (uniform by default, which is always admissible on a viable
+    market). The plan is read off ``characterize``'s record, as in ``complete_tree``.
     """
-    char = characterize(mkt, max_outcomes=max_outcomes)
+    return _plan_from_record(mkt, characterize(mkt, max_outcomes=max_outcomes), weights)
+
+
+def _plan_from_record(
+    mkt: OnePeriodMarket, char: EmmCharacterization, weights: Iterable[RationalLike] | None
+) -> CompletionPlan:
+    """The completion plan of ``mkt`` read off its characterization ``char``."""
     if not char.emm_exists:
         raise NotViableError("only arbitrage-free markets can be completed")
     b = mkt.outcomes

@@ -274,6 +274,11 @@ def cmd_tree_complete(args: argparse.Namespace) -> int:
 
 
 def cmd_kkl(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.epsilon is None:
+        raise InputError("--seed chooses a perturbation and needs --epsilon")
+    emm_p = parse_rational(args.emm_p)
+    if not 0 < emm_p < 1:
+        raise InputError(f"--emm-p must lie strictly in (0, 1), got {quoted(args.emm_p)}")
     params = models.kkl_params(
         s0=args.s0,
         lam=parse_rational(args.lam),
@@ -282,7 +287,6 @@ def cmd_kkl(args: argparse.Namespace) -> int:
         horizon=parse_rational(args.horizon),
         steps=args.steps,
     )
-    emm_p = parse_rational(args.emm_p)
     eps = None if args.epsilon is None else parse_rational(args.epsilon)
     viable = models.kkl_viability(params)
     if eps is not None and not viable:
@@ -320,7 +324,8 @@ def cmd_kkl(args: argparse.Namespace) -> int:
             + ("" if violations else "; stock plus put is complete")
         )
         if eps is not None:
-            result = models.kkl_perturb_terminal(params, eps, args.seed, emm_p)
+            seed = args.seed or 0
+            result = models.kkl_perturb_terminal(params, eps, seed, emm_p)
             surface = result.surface
             deviation = max(
                 abs(result.terminal[k] - base)
@@ -328,7 +333,7 @@ def cmd_kkl(args: argparse.Namespace) -> int:
             )
             doc["perturbation"] = {
                 "epsilon": format_rational(eps),
-                "seed": args.seed,
+                "seed": seed,
                 "attempts": result.attempts,
                 "max_deviation": format_rational(deviation),
                 "terminal": {
@@ -425,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="node-measure parameter in (0, 1)")
     p_kkl.add_argument("--epsilon", default=None,
                        help="perturb the put's terminal values by less than this")
-    p_kkl.add_argument("--seed", type=int, default=0, help="perturbation seed")
+    p_kkl.add_argument("--seed", type=int, help="perturbation seed (default 0; needs --epsilon)")
     p_kkl.add_argument("--out", default=None, metavar="CSV",
                        help="write the value surface as t,k,value")
     add_json(p_kkl)

@@ -145,7 +145,8 @@ def _stage_candidates(non_intersecting: set[Face], outcomes: int) -> list[Face]:
     """Faces one size up whose every boundary facet failed to meet A.
 
     Built by extending each recorded face past its largest index, then
-    checking all facets by set membership, so each candidate appears once.
+    checking all facets by set membership, so each candidate appears once,
+    in lexicographic order.
     """
     out: list[Face] = []
     for face in sorted(non_intersecting):
@@ -155,7 +156,6 @@ def _stage_candidates(non_intersecting: set[Face], outcomes: int) -> list[Face]:
                 cand[:j] + cand[j + 1 :] in non_intersecting for j in range(len(cand))
             ):
                 out.append(cand)
-    out.sort()
     return out
 
 

@@ -312,28 +312,36 @@ def kkl_build(params: KklParams, *, max_nodes: int = 100_000) -> TreeMarket:
 
     Node ids encode the price path ("2.1.0" went 2 -> 1 -> 0). The tree has
     one path node per price history, which grows roughly like 3^steps;
-    ``max_nodes`` turns that blow-up into an explicit error. Distinct-state
+    ``max_nodes`` turns that blow-up into an explicit error, raised from the
+    path counts per state before any node is built. Distinct-state
     analysis via ``kkl_component_market`` scales polynomially instead.
     """
+    paths = {params.s0: 1}
+    total = 0
+    for t in range(params.steps + 1):
+        total += sum(paths.values())
+        if total > max_nodes:
+            raise LimitExceededError(
+                f"lattice tree reaches {total} nodes by step {t}, over the limit of "
+                f"{max_nodes} nodes; use the distinct-state component markets instead"
+            )
+        step: dict[int, int] = {}
+        for state, count in paths.items():
+            for child in _child_states(state):
+                step[child] = step.get(child, 0) + count
+        paths = step
     nodes: list[TreeNode] = []
     prices: dict[str, Vector] = {}
     probabilities: dict[str, Vector] = {}
     frontier: list[tuple[str, int]] = [(str(params.s0), params.s0)]
-    count = 0
     for t in range(params.steps + 1):
         next_frontier: list[tuple[str, int]] = []
         for node_id, state in frontier:
-            count += 1
-            if count > max_nodes:
-                raise LimitExceededError(
-                    f"lattice tree exceeds {max_nodes} nodes; "
-                    "use the distinct-state component markets instead"
-                )
             prices[node_id] = (Fraction(state),)
             if t == params.steps:
                 nodes.append(TreeNode(id=node_id, time=t, children=()))
                 continue
-            child_states = (0,) if state == 0 else (state - 1, state, state + 1)
+            child_states = _child_states(state)
             child_ids = tuple(f"{node_id}.{s}" for s in child_states)
             nodes.append(TreeNode(id=node_id, time=t, children=child_ids))
             probabilities[node_id] = kkl_transition(params, state)
@@ -346,6 +354,11 @@ def kkl_build(params: KklParams, *, max_nodes: int = 100_000) -> TreeMarket:
         rates=(params.step_rate,) * params.steps,
         branch_probabilities=probabilities,
     )
+
+
+def _child_states(k: int) -> tuple[int, ...]:
+    """Zero absorbs; a state k >= 1 moves to k - 1, k or k + 1."""
+    return (0,) if k == 0 else (k - 1, k, k + 1)
 
 
 def kkl_viability(params: KklParams) -> bool:

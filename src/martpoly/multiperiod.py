@@ -12,12 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .analysis import (
-    CompletionPlan,
-    EmmCharacterization,
-    characterize,
-    complete_market,
-)
+from .analysis import CompletionPlan, EmmCharacterization, _plan_from_record, characterize
+from .analysis import complete_market  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
 from .errors import InputError, NotViableError, quoted
 from .geometry import DEFAULT_MAX_OUTCOMES
 from .market import OnePeriodMarket
@@ -171,22 +167,26 @@ def components(tm: TreeMarket) -> tuple[Component, ...]:
 
     The component's spot vector is the node's prices, payoff column w is the
     prices at child w, and the rate is the step rate at the node's time.
+    Components with equal markets share one ``OnePeriodMarket``: it is built
+    once per distinct (rate, spot, child price vectors, probabilities), so a
+    caller may key its records by the market's identity.
     """
+    markets: dict[tuple, OnePeriodMarket] = {}
     out: list[Component] = []
     for node in tm.tree.internal_nodes():
-        kids = node.children
-        payoff_rows = tuple(
-            tuple(tm.prices[kid][i] for kid in kids) for i in range(tm.assets)
-        )
         probs = None
         if tm.branch_probabilities is not None:
             probs = tm.branch_probabilities[node.id]
-        market = OnePeriodMarket(
-            rate=tm.rates[node.time],
-            spot=tm.prices[node.id],
-            payoffs=Matrix(payoff_rows, len(kids)),
-            probabilities=probs,
-        )
+        kid_prices = tuple(tm.prices[kid] for kid in node.children)
+        key = (tm.rates[node.time], tm.prices[node.id], kid_prices, probs)
+        market = markets.get(key)
+        if market is None:
+            market = markets[key] = OnePeriodMarket(
+                rate=tm.rates[node.time],
+                spot=tm.prices[node.id],
+                payoffs=Matrix(kid_prices, tm.assets).transpose(),
+                probabilities=probs,
+            )
         out.append(Component(time=node.time, node_id=node.id, market=market))
     return tuple(out)
 
@@ -211,15 +211,15 @@ def analyze_tree(
 ) -> TreeReport:
     """Aggregate verdicts: the tree passes exactly when every component does.
 
-    Each distinct component market is characterized once; components that
-    repeat a market share its record.
+    Each distinct component market is characterized once: components that
+    share a market object (see ``components``) share its record.
     """
-    chars: dict[OnePeriodMarket, EmmCharacterization] = {}
+    chars: dict[int, EmmCharacterization] = {}
     reports: list[ComponentReport] = []
     for comp in components(tm):
-        char = chars.get(comp.market)
+        char = chars.get(id(comp.market))
         if char is None:
-            char = chars[comp.market] = characterize(comp.market, max_outcomes=max_outcomes)
+            char = chars[id(comp.market)] = characterize(comp.market, max_outcomes=max_outcomes)
         reports.append(ComponentReport(comp, char, char.emm_exists, char.complete))
     return TreeReport(
         viable=all(r.viable for r in reports),
@@ -242,21 +242,23 @@ def complete_tree(
 
     Each plan's assets live on one component: they trade between times t and
     t+1 conditional on the component's node. Applying every plan to its
-    component makes all components, and hence the tree, complete. Components
-    that repeat a market share one plan.
+    component makes all components, and hence the tree, complete. Each shared
+    market gets one plan, read off its ``analyze_tree`` record as in ``complete_market``.
     """
     report = analyze_tree(tm, max_outcomes=max_outcomes)
     if not report.viable:
         raise NotViableError("only arbitrage-free trees can be completed")
-    plans: dict[OnePeriodMarket, CompletionPlan] = {}
+    plans: dict[int, CompletionPlan] = {}
     out: list[TreeCompletion] = []
     for comp_report in report.components:
         if comp_report.complete:
             continue
         comp = comp_report.component
-        plan = plans.get(comp.market)
+        plan = plans.get(id(comp.market))
         if plan is None:
-            plan = plans[comp.market] = complete_market(comp.market, max_outcomes=max_outcomes)
+            plan = plans[id(comp.market)] = _plan_from_record(
+                comp.market, comp_report.characterization, None
+            )
         out.append(TreeCompletion(time=comp.time, node_id=comp.node_id, plan=plan))
     return tuple(out)
 

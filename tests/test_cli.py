@@ -301,6 +301,41 @@ def test_kkl_rejects_max_outcomes(capsys):
     assert "unrecognized arguments: --max-outcomes" in capsys.readouterr().err
 
 
+KKL_SMALL = ["kkl", "--s0", "1", "--lambda", "1/8", "--eta", "1/8", "--steps", "2", "--json"]
+
+
+@pytest.mark.parametrize(
+    "extra,flag",
+    [
+        (["--seed", "3"], "--seed"),  # nothing to seed without --epsilon
+        (["--emm-p", "5"], "--emm-p"),
+        (["--emm-p", "5", "--rate", "10"], "--emm-p"),  # on a non-viable lattice
+        (["--emm-p", "0", "--rate", "10"], "--emm-p"),
+        (["--emm-p", "1"], "--emm-p"),
+    ],
+)
+def test_kkl_refuses_flags_it_would_ignore(extra, flag, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("kkl started work before checking its flags")
+
+    monkeypatch.setattr(models, "kkl_params", no_work)
+    assert main(KKL_SMALL + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ")
+
+
+def test_kkl_valid_seed_and_emm_p_are_unchanged(capsys):
+    code, doc = run_json(capsys, KKL_SMALL + ["--emm-p", "1/3", "--rate", "10"])
+    assert code == 0 and doc["viable"] is False
+    perturbed = KKL_SMALL + ["--epsilon", "1/100"]
+    assert main(perturbed) == 0
+    default_seed = capsys.readouterr().out
+    assert main(perturbed + ["--seed", "0"]) == 0
+    assert capsys.readouterr().out == default_seed
+    assert json.loads(default_seed)["perturbation"]["seed"] == 0
+
+
 def test_kkl_invalid_params(capsys):
     code = main(
         [

@@ -267,9 +267,30 @@ def test_kkl_build_absorbing_node_single_child():
     assert zero_nodes and all(len(n.children) == 1 for n in zero_nodes)
 
 
-def test_kkl_build_node_guard():
+def test_kkl_build_node_guard(monkeypatch):
+    def no_node(*args, **kwargs):
+        raise AssertionError("a tree node was built before the guard")
+
+    monkeypatch.setattr(models, "TreeNode", no_node)
     params = kkl_params(s0=1, lam="1/64", eta="1/64", rate=0, horizon=1, steps=6)
     with pytest.raises(LimitExceededError):
+        kkl_build(params, max_nodes=10)
+    # path nodes per step from s0 = 1: 1, 3, 7, 17, 43, ...; the running
+    # total passes the default 100,000 at step 12, so steps 13-20 are not counted
+    with pytest.raises(
+        LimitExceededError,
+        match=r"reaches 234937 nodes by step 12, over the limit of 100000 nodes",
+    ):
+        kkl_build(kkl_params(1, "1/64", "1/64", steps=20))
+
+
+def test_kkl_build_node_limit_is_inclusive(monkeypatch):
+    params = kkl_params(s0=1, lam="1/64", eta="1/64", rate=0, horizon=1, steps=2)
+    assert len(kkl_build(params, max_nodes=11).tree.nodes) == 1 + 3 + 7
+    monkeypatch.setattr(models, "TreeNode", None)
+    with pytest.raises(
+        LimitExceededError, match=r"reaches 11 nodes by step 2, over the limit of 10 nodes"
+    ):
         kkl_build(params, max_nodes=10)
 
 

@@ -2,14 +2,19 @@
 
 import json
 import random
+from contextlib import suppress
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from martpoly import analysis, multiperiod
 from martpoly import (
     EventTree,
     InputError,
     NotViableError,
+    OnePeriodMarket,
     TreeMarket,
     TreeNode,
     analyze_tree,
@@ -348,11 +353,40 @@ KKL_CASES = [
 ]
 
 
+def count_builds_and_analyses(monkeypatch) -> dict[str, int]:
+    """Count every OnePeriodMarket construction and every characterize call."""
+    counts = {"markets": 0, "characterize": 0}
+    post_init = OnePeriodMarket.__post_init__
+    real_characterize = analysis.characterize
+
+    def counted_post_init(self):
+        counts["markets"] += 1
+        post_init(self)
+
+    def counted_characterize(*args, **kwargs):
+        counts["characterize"] += 1
+        return real_characterize(*args, **kwargs)
+
+    monkeypatch.setattr(OnePeriodMarket, "__post_init__", counted_post_init)
+    for module in (analysis, multiperiod):
+        monkeypatch.setattr(module, "characterize", counted_characterize)
+    return counts
+
+
 @pytest.mark.parametrize("s0,steps,rate", KKL_CASES)
-def test_tree_verdicts_match_per_component_walk(s0, steps, rate):
+def test_tree_verdicts_match_per_component_walk(s0, steps, rate, monkeypatch):
     """Sharing records between repeated markets changes no report or plan."""
     params = kkl_params(s0=s0, lam="1/32", eta="1/64", rate=rate, horizon=1, steps=steps)
     tm = kkl_build(params)
+    distinct = len({comp.market for comp in components(tm)})
+    counts = count_builds_and_analyses(monkeypatch)
+    analyze_tree(tm)
+    assert counts == {"markets": distinct, "characterize": distinct}
+    counts.update(markets=0, characterize=0)
+    with suppress(NotViableError):
+        complete_tree(tm)
+    assert counts == {"markets": distinct, "characterize": distinct}
+    monkeypatch.undo()
     walk = []
     for comp in components(tm):
         char = characterize(comp.market)
@@ -374,3 +408,31 @@ def test_tree_verdicts_match_per_component_walk(s0, steps, rate):
         if not complete
     ]
     assert [(p.time, p.node_id, p.plan) for p in complete_tree(tm)] == expected
+
+
+def test_components_share_exactly_the_equal_markets(monkeypatch):
+    """One market object per distinct (rate, spot, child prices, probabilities)."""
+    ids = ["r" + "".join(path) for t in range(4) for path in product("ab", repeat=t)]
+    nodes = [TreeNode(i, len(i) - 1, (i + "a", i + "b") if len(i) < 4 else ()) for i in ids]
+    probs = {i: ("1/3", "2/3") if i == "rb" else ("1/2", "1/2") for i in ids if len(i) < 4}
+    tm = TreeMarket(
+        EventTree(nodes),
+        assets=1,
+        prices={i: ("1",) for i in ids},
+        rates=("0", "0", "1/10"),
+        branch_probabilities=probs,
+    )
+    market = {comp.node_id: comp.market for comp in components(tm)}
+    # equal markets at times 0 and 1, under equal rates, are one object
+    assert market["ra"] is market["r"]
+    # a market that differs only in its probabilities is not shared
+    assert market["rb"] is not market["ra"]
+    assert replace(market["rb"], probabilities=market["ra"].probabilities) == market["ra"]
+    # nor is one that differs only in its step rate
+    assert market["raa"] is not market["r"]
+    assert replace(market["raa"], rate=market["r"].rate) == market["r"]
+    assert market["rbb"] is market["raa"]
+    assert len({id(m) for m in market.values()}) == 3
+    counts = count_builds_and_analyses(monkeypatch)
+    analyze_tree(tm)
+    assert counts == {"markets": 3, "characterize": 3}
