@@ -1,10 +1,11 @@
 """Market verdicts, read off one analysis record per market.
 
 ``characterize`` is the only place a one-period market is analysed. It runs
-one generator enumeration and one exact elimination and returns an
-``EmmCharacterization``; every verdict, witness, price bound and completion
-plan in this module is a view of that record. Nothing is cached: a caller
-that meets the same market many times (an event tree) keeps its own records.
+one generator enumeration and reads the rank verdicts off one exact
+elimination of the market's system, the one the enumeration reads too. It
+returns an ``EmmCharacterization``; every verdict, witness, price bound and
+completion plan in this module is a view of that record. Nothing is cached:
+a caller that meets one market many times (an event tree) keeps its records.
 
 Arbitrage-freeness is existence of an equivalent martingale measure, which
 holds exactly when every outcome carries positive mass under some generator.
@@ -26,7 +27,6 @@ from .rationals import (
     RationalLike,
     Vector,
     dot,
-    eliminate,
     mean_vector,
     rank,  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
     unit_vector,
@@ -105,13 +105,12 @@ class CompletionPlan:
 def characterize(
     mkt: OnePeriodMarket, *, max_outcomes: int = DEFAULT_MAX_OUTCOMES
 ) -> EmmCharacterization:
-    """Enumerate generators once and eliminate the augmented matrix once.
+    """Enumerate generators once; read the rank facts off ``sys.reduced``.
 
     Adding the unit payoff e_i raises the augmented rank exactly when no
-    vector of the current row space has its last nonzero entry at i. Those
-    last-nonzero positions are the pivots with the columns reversed, so the
-    completing outcomes are the remaining positions. The rows eliminated are
-    ``sys.integer_rows`` without the rhs: multiples of [1; payoffs].
+    vector of the current row space has its last nonzero entry at i, that
+    is, when i is not a pivot of the system's reduction: those outcomes
+    complete the market, which is complete when viable and there are none.
     """
     sys = build_system(mkt)
     gens = enumerate_generators(sys, max_outcomes=max_outcomes)
@@ -121,15 +120,15 @@ def characterize(
         for i in range(b)
     )
     emm_exists = all(support)
-    reversed_rows = [list(r[b - 1 :: -1]) for r in sys.integer_rows]
-    spanned = {b - 1 - p for p in eliminate(reversed_rows, b)}
+    pivots = sys.reduced[1]
+    completing = tuple(i for i in range(b) if i not in pivots)
     return EmmCharacterization(
         generators=gens,
         outcome_support=support,
         emm_exists=emm_exists,
         witness=mean_vector(gens.generators) if len(gens) else None,
-        complete=emm_exists and len(spanned) == b,
-        completing_outcomes=tuple(i for i in range(b) if i not in spanned),
+        complete=emm_exists and not completing,
+        completing_outcomes=completing,
     )
 
 

@@ -14,8 +14,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import analysis, models, multiperiod
 from .errors import (
@@ -54,14 +55,23 @@ def _vec_strings(v: Sequence[Fraction]) -> list[str]:
     return [format_rational(x) for x in v]
 
 
-def _load_json(path: str) -> dict:
+@contextmanager
+def _opened(path: str, mode: str) -> Iterator[TextIO]:
+    """The file at ``path`` as UTF-8 text; an OS error on it is bad input."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, mode, encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
+        verb = "read" if mode == "r" else "write"
+        raise InputError(f"cannot {verb} {path}: {exc}") from None
+
+
+def _load_json(path: str) -> dict:
+    with _opened(path, "r") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also non-UTF-8, or too deep
+            raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_market(path: str) -> OnePeriodMarket:
@@ -213,7 +223,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
         human.append(f"weights: {_fmt_vec(plan.weights)}")
     if args.apply is not None:
         extended = analysis.apply_completion(mkt, plan)
-        with open(args.apply, "w", encoding="utf-8") as fh:
+        with _opened(args.apply, "w") as fh:
             json.dump(market_to_json_dict(extended), fh, sort_keys=True, indent=2)
             fh.write("\n")
         human.append(f"extended market written to {args.apply}")
@@ -347,7 +357,7 @@ def cmd_kkl(args: argparse.Namespace) -> int:
     if args.out is not None:
         if surface is None:
             raise NotViableError("no surface to write: the lattice is not viable")
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _opened(args.out, "w") as fh:
             models.write_surface_csv(surface, fh)
         human.append(f"surface written to {args.out}")
         doc["surface_csv"] = args.out

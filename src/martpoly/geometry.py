@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalContractError, LimitExceededError
-from .market import MartingaleSystem
+from .market import MartingaleSystem, augmented_matrix
 from .rationals import Matrix, SolutionSpace, Vector, eliminate, solve
 
 Face = tuple[int, ...]
@@ -81,11 +81,7 @@ def _face_solution(sys: MartingaleSystem, face: Face) -> SolutionSpace:
     Unknowns are the coordinates on the face; the first equation pins their
     sum to one and the rest are the asset rows with the other columns dropped.
     """
-    ones = (Fraction(1),) * len(face)
-    rows = (ones,) + sys.matrix.select_columns(face).entries
-    matrix = Matrix(rows, len(face))
-    rhs = (Fraction(1),) + sys.rhs
-    return solve(matrix, rhs)
+    return solve(augmented_matrix(sys).select_columns(face), (Fraction(1),) + sys.rhs)
 
 
 def _embed(face: Face, coords: Sequence[Fraction], outcomes: int) -> Vector:
@@ -98,11 +94,11 @@ def _embed(face: Face, coords: Sequence[Fraction], outcomes: int) -> Vector:
 def face_intersection(sys: MartingaleSystem, face: Iterable[int]) -> Vector | None:
     """Point where one simplex face meets the affine solution space, if any.
 
-    The restricted system (mass one on the face, the asset rows with the
-    other columns dropped) is taken from ``sys.integer_rows`` and reduced by
-    the fraction-free ``eliminate``, so the face is decided in integers:
-    coordinate i of the solution is ``rows[i][k] / rows[i][i]`` and its sign
-    is the sign of their product. Fractions are built only for a hit.
+    The face's columns and the rhs of ``sys.reduced``'s rows are its
+    restricted system (mass one on the face, and the asset rows), and the
+    fraction-free ``eliminate`` decides it in integers: coordinate i of the
+    solution is ``rows[i][k] / rows[i][i]`` and its sign is the sign of
+    their product. Fractions are built only for a hit.
 
     Intended for faces none of whose proper subfaces meets A (the invariant
     the staged enumeration maintains). Under that precondition:
@@ -124,7 +120,7 @@ def face_intersection(sys: MartingaleSystem, face: Iterable[int]) -> Vector | No
     idx = _normalize_face(face, sys.outcomes)
     k = len(idx)
     rhs = sys.outcomes
-    rows = [[row[j] for j in idx] + [row[rhs]] for row in sys.integer_rows]
+    rows = [[row[j] for j in idx] + [row[rhs]] for row in sys.reduced[0]]
     pivots = eliminate(rows, k + 1)
     # unique exactly when the pivots are the k face columns, none on the rhs
     if len(pivots) != k or pivots[-1] != k - 1:
@@ -166,9 +162,8 @@ def enumerate_generators(
 
     Stage k inspects the faces spanned by k outcomes whose entire boundary
     was recorded as missing A in stage k-1; an intersecting face contributes
-    the unique point of its relative interior that lies in A. One
-    elimination of ``sys.integer_rows`` (the mass-one row over
-    ``[matrix | rhs]``) bounds the walk first:
+    the unique point of its relative interior that lies in A. The pivots of
+    ``sys.reduced`` bound the walk first:
 
     * a pivot in the rhs column means the full system is inconsistent, so
       the measure set is empty and so is the result;
@@ -184,7 +179,7 @@ def enumerate_generators(
         raise LimitExceededError(
             f"{b} outcomes exceeds the face-enumeration guard of {max_outcomes}"
         )
-    pivots = eliminate([list(r) for r in sys.integer_rows], b + 1)
+    pivots = sys.reduced[1]
     if pivots[-1] == b:
         return GeneratorSet(b, ())
     last_stage = len(pivots)

@@ -2,7 +2,9 @@
 
 A market with b outcomes, n risky assets, and a riskless rate r induces the
 linear system ``payoffs @ q == (1 + r) * spot`` whose solutions inside the
-standard simplex are exactly the martingale measures.
+standard simplex are exactly the martingale measures. Each system is reduced
+once (``MartingaleSystem.reduced``), and every rank fact and every face of
+the measure polytope is read from that reduction.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .rationals import (
     Matrix,
     RationalLike,
     Vector,
+    eliminate,
     format_rational,
     integer_row,
     rat,
@@ -77,7 +80,7 @@ def make_market(
     ``outcomes`` is only needed when there are no risky assets, since an empty
     payoff list cannot reveal b.
     """
-    payoff_rows = [list(row) for row in payoffs]
+    payoff_rows = [vector(row) for row in payoffs]
     if not payoff_rows and outcomes is None:
         raise InputError("outcome count required for a market with no assets")
     matrix = Matrix.from_rows(payoff_rows, outcomes if not payoff_rows else None)
@@ -115,7 +118,8 @@ class MartingaleSystem:
     """Linear part of the martingale conditions: matrix q = rhs.
 
     A vector q with q >= 0, sum(q) == 1 and matrix @ q == rhs is exactly a
-    martingale measure of the originating market.
+    martingale measure of the originating market; ``reduced`` is the one
+    elimination of these equations that the analysis reads.
     """
 
     matrix: Matrix
@@ -130,21 +134,25 @@ class MartingaleSystem:
         return self.matrix.cols
 
     @cached_property
-    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The row [1 ... 1 | 1], then each [matrix_i | rhs_i], scaled to integers.
+    def reduced(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The system reduced once: its nonzero integer rows and its pivots.
 
-        Each row is a positive multiple of the equation it stands for, so
-        any column selection of these rows is the matching restricted
-        system with its denominators already cleared: the face walk reads
-        every column and each face's, ``characterize`` the payoff columns
-        reversed. Computed once per system; not a field, so equality and
-        hashing ignore it.
+        The rows [1 ... 1 | 1] and [matrix_i | rhs_i], scaled to integers,
+        go through one ``eliminate`` with the outcome columns last to first
+        and the rhs last, and come back in column order. They span the same
+        equations, so a face's columns and the rhs are that face's system.
+        The pivots are ascending outcome indices, rank [1; matrix] of them,
+        then ``outcomes`` when the rhs holds one (no solution). The other
+        outcomes are those whose unit payoffs, added smallest first, raise
+        that rank. Cached, not a field: equality and hashing ignore it.
         """
-        ones = (Fraction(1),) * (self.outcomes + 1)
-        equations = (ones,) + tuple(
-            row + (c,) for row, c in zip(self.matrix.entries, self.rhs)
-        )
-        return tuple(tuple(integer_row(row)) for row in equations)
+        b = self.outcomes
+        rows = [[1] * (b + 1)] + [
+            integer_row(row[::-1] + (c,)) for row, c in zip(self.matrix.entries, self.rhs)
+        ]
+        pivots = eliminate(rows, b + 1)
+        kept = tuple(tuple(row[:b][::-1] + row[b:]) for row in rows[: len(pivots)])
+        return kept, tuple(sorted(b - 1 - p if p < b else b for p in pivots))
 
 
 def build_system(mkt: OnePeriodMarket) -> MartingaleSystem:
@@ -202,11 +210,8 @@ def market_from_json_dict(doc: Mapping) -> OnePeriodMarket:
     outcomes = doc.get("outcomes")
     if outcomes is not None and (isinstance(outcomes, bool) or not isinstance(outcomes, int)):
         raise InputError("outcomes must be an integer")
-    if not isinstance(spot, list) or not isinstance(payoffs, list):
-        raise InputError("spot must be a list and payoffs a list of lists")
-    for row in payoffs:
-        if not isinstance(row, list):
-            raise InputError("payoffs must be a list of lists")
+    if not isinstance(payoffs, list):
+        raise InputError("payoffs must be a list of lists")
     return make_market(
         rate=rate,
         spot=spot,

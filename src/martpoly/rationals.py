@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 from .errors import InputError, quoted
 
@@ -91,6 +92,12 @@ def rat(value: RationalLike) -> Fraction:
 
 
 def vector(values: Iterable[RationalLike]) -> Vector:
+    """Coerce a list of rationals; a string, a mapping or a scalar is not one."""
+    # lists and tuples skip the abstract-class checks, a microsecond a call
+    if not isinstance(values, (list, tuple)) and (
+        isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable)
+    ):
+        raise InputError(f"expected a list of rationals, got {quoted(values)}")
     return tuple(rat(v) for v in values)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from martpoly import analysis, geometry, market, rationals
 from martpoly import (
     InputError,
     NotViableError,
@@ -386,3 +387,33 @@ def test_completing_outcomes_match_greedy_on_random_markets(seed):
     rng = random.Random(seed)
     for _ in range(60):
         assert_matches_greedy(random_market(rng))
+
+
+def test_characterize_eliminates_the_system_once_outside_the_face_walk(monkeypatch):
+    # every face is reduced on its own; the system itself is reduced once, for
+    # the walk's bounds and the completion alike
+    inside_faces = []
+    real_face = geometry.face_intersection
+
+    def face(sys, f):
+        inside_faces.append(f)
+        try:
+            return real_face(sys, f)
+        finally:
+            inside_faces.pop()
+
+    outside = []
+    real_eliminate = rationals.eliminate
+
+    def counting(rows, cols):
+        if not inside_faces:
+            outside.append(cols)
+        return real_eliminate(rows, cols)
+
+    monkeypatch.setattr(geometry, "face_intersection", face)
+    for module in (rationals, market, geometry, analysis):
+        if hasattr(module, "eliminate"):
+            monkeypatch.setattr(module, "eliminate", counting)
+    char = characterize(EX3)
+    assert len(char.generators) > 0 and char.completing_outcomes
+    assert outside == [EX3.outcomes + 1]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from martpoly import models, parse_rational
+from martpoly import MartingaleSystem, models, parse_rational
 from martpoly.cli import main
 
 
@@ -85,6 +85,30 @@ def test_analyze_malformed_input(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
     missing = tmp_path / "nope.json"
     assert main(["analyze", str(missing)]) == 2
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"rate": "\xff"}')
+    assert main(["analyze", str(latin)]) == 2
+    assert f"{latin} is not valid JSON" in capsys.readouterr().err
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["analyze", str(deep)]) == 2
+    assert f"{deep} is not valid JSON" in capsys.readouterr().err
+    scalar = write_doc(tmp_path, "scalar.json", {**TRINOMIAL_DOC, "probabilities": 5})
+    assert main(["analyze", scalar]) == 2
+    assert "expected a list of rationals, got 5" in capsys.readouterr().err
+
+
+def test_no_asset_market_too_wide_to_walk_is_refused_before_its_system_is_reduced(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(self):
+        raise AssertionError("reduced a system the guard should have refused")
+
+    monkeypatch.setattr(MartingaleSystem, "reduced", property(refuse))
+    doc = {"rate": "0", "spot": [], "payoffs": [], "outcomes": 1_000_000_000}
+    path = write_doc(tmp_path, "wide.json", doc)
+    assert main(["analyze", path]) == 3
+    assert "1000000000 outcomes exceeds" in capsys.readouterr().err
 
 
 # one asset over 17 outcomes: above the default guard of 16, yet only 17 unit
@@ -244,6 +268,10 @@ def test_tree_malformed(tmp_path, capsys):
     }
     path = write_doc(tmp_path, "t.json", bad)
     assert main(["tree", "analyze", path]) == 2
+    # a price string once read one character per asset
+    root = {**BINOMIAL_TREE_DOC["nodes"][0], "prices": "1"}
+    spelled = {**BINOMIAL_TREE_DOC, "nodes": [root] + BINOMIAL_TREE_DOC["nodes"][1:]}
+    assert main(["tree", "analyze", write_doc(tmp_path, "s.json", spelled)]) == 2
 
 
 def test_kkl_command_writes_surface(tmp_path, capsys):
@@ -262,6 +290,18 @@ def test_kkl_command_writes_surface(tmp_path, capsys):
     lines = (tmp_path / "surface.csv").read_text().splitlines()
     assert lines[0] == "t,k,value"
     assert "0,1,1/4" in lines
+
+
+def test_unwritable_output_paths_are_malformed_input(tmp_path, capsys):
+    market = write_doc(tmp_path, "m.json", EX4_DOC)
+    apply_to = str(tmp_path / "missing" / "ext.json")
+    assert main(["complete", market, "--apply", apply_to]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {apply_to}: ")
+    out = str(tmp_path / "missing" / "surface.csv")
+    kkl = ["kkl", "--s0", "1", "--lambda", "1/4", "--eta", "1/4", "--steps", "1"]
+    assert main(kkl + ["--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_kkl_not_viable_still_reports(capsys):

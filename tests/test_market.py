@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martpoly import (
     InputError,
@@ -15,7 +17,11 @@ from martpoly import (
     market_from_json_dict,
     market_from_system,
     market_to_json_dict,
+    price_bounds,
+    solve,
+    system_from_rows,
 )
+from test_rationals import fraction_rref
 from util import random_market
 
 
@@ -120,11 +126,26 @@ def test_json_document_example():
         {"rate": "0", "spot": ["1"], "payoffs": [["1", "bad"]]},
         {"rate": "0", "spot": ["1"], "payoffs": "nope"},
         {"rate": "0", "spot": [], "payoffs": [], "outcomes": "3"},
+        # a list field that is not a list: a scalar, a mapping, or a string
+        # whose characters were once read as its entries
+        {"rate": "0", "spot": ["1"], "payoffs": [["1", "2"]], "probabilities": 5},
+        {"rate": "0", "spot": ["1"], "payoffs": [["1"]], "probabilities": "1"},
+        {"rate": "0", "spot": "1", "payoffs": [["1"]]},
+        {"rate": "0", "spot": ["1"], "payoffs": [{"1": "x", "2": "y"}]},
+        {"rate": "0", "spot": ["1"], "payoffs": ["12"]},
     ],
 )
 def test_json_document_rejects_malformed(doc):
     with pytest.raises(InputError):
         market_from_json_dict(doc)
+
+
+def test_string_rows_and_payoffs_are_not_lists():
+    with pytest.raises(InputError, match="^expected a list of rationals"):
+        make_market(rate=0, spot=[1], payoffs=["12"])
+    mkt = make_market(rate=0, spot=["1/2"], payoffs=[[0, 1]])
+    with pytest.raises(InputError, match="^expected a list of rationals"):
+        price_bounds(mkt, "01")
 
 
 def test_long_non_string_value_is_not_echoed_whole():
@@ -160,3 +181,60 @@ def test_scaling_an_asset_scales_its_system_row():
         sys, scaled_sys = build_system(mkt), build_system(scaled)
         assert scaled_sys.rhs[i] == lam * sys.rhs[i]
         assert scaled_sys.matrix.row(i) == tuple(lam * x for x in sys.matrix.row(i))
+
+
+SMALL = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+)
+
+
+@st.composite
+def degenerate_systems(draw):
+    """Equations drawn, zero, constant (a bond), repeated or combined, any rhs."""
+    b = draw(st.integers(1, 6))
+    equations: list[tuple[list[Fraction], Fraction]] = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["drawn", "zero", "bond", "repeat", "combined"]))
+        c = draw(SMALL)
+        if kind == "zero":
+            row = [Fraction(0)] * b
+        elif kind == "bond":
+            level = draw(SMALL.filter(bool))
+            row = [level] * b
+            # pays its level in every outcome: consistent with mass one or not
+            c = draw(st.sampled_from([level, c]))
+        elif kind == "repeat" and equations:
+            row, first = draw(st.sampled_from(equations))
+            c = draw(st.sampled_from([first, c]))
+        elif kind == "combined" and equations:
+            (u, cu), (v, cv) = draw(st.sampled_from(equations)), draw(st.sampled_from(equations))
+            s, t = draw(SMALL), draw(SMALL)
+            row, c = [s * x + t * y for x, y in zip(u, v)], s * cu + t * cv
+        else:
+            row = draw(st.lists(SMALL, min_size=b, max_size=b))
+        equations.append((row, c))
+    return system_from_rows([r for r, _ in equations], [c for _, c in equations], outcomes=b)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(degenerate_systems())
+def test_reduction_matches_fraction_gauss_jordan(sys):
+    b = sys.outcomes
+    rows, pivots = sys.reduced
+    equations = [(Fraction(1),) * (b + 1)] + [
+        row + (c,) for row, c in zip(sys.matrix.entries, sys.rhs)
+    ]
+    # the kept rows are the nonzero rows of an echelon form of [1; P | rhs]
+    oracle = fraction_rref(Matrix.from_rows(equations, b + 1))
+    assert all(type(x) is int for row in rows for x in row)
+    assert len(rows) == len(oracle.pivots)
+    assert fraction_rref(Matrix.from_rows(rows, b + 1)).matrix.entries == (
+        oracle.matrix.entries[: len(rows)]
+    )
+    # pivots of the outcome columns taken last to first, mapped back
+    flipped = fraction_rref(Matrix.from_rows([e[:b][::-1] + e[b:] for e in equations], b + 1))
+    outcome_pivots = sorted(b - 1 - p for p in flipped.pivots if p < b)
+    assert pivots == tuple(outcome_pivots) + ((b,) if b in flipped.pivots else ())
+    inconsistent = solve(augmented_matrix(sys), (Fraction(1),) + sys.rhs).kind == "inconsistent"
+    assert (b in pivots) == inconsistent

@@ -285,6 +285,18 @@ def test_tree_json_round_trip():
     assert [n.id for n in back.tree.nodes] == [n.id for n in tm.tree.nodes]
 
 
+def one_step_tree(root: dict, down: dict, assets: int = 1) -> dict:
+    return {
+        "assets": assets,
+        "rates": ["0"],
+        "nodes": [
+            {"id": "r", "time": 0, "children": ["u", "d"], **root},
+            {"id": "u", "time": 1, "children": [], "prices": ["2"] * assets},
+            {"id": "d", "time": 1, "children": [], **down},
+        ],
+    }
+
+
 def test_tree_json_schema_example():
     doc = {
         "assets": 1,
@@ -319,6 +331,11 @@ def test_tree_json_schema_example():
                 {"id": "a", "time": 2, "children": [], "prices": ["1"]},
             ],
         },
+        # a list field that is not a list; two assets whose price strings
+        # were once read one character each
+        one_step_tree({"prices": 5}, {"prices": ["1/2"]}),
+        one_step_tree({"prices": ["1"], "probabilities": 3}, {"prices": ["1/2"]}),
+        one_step_tree({"prices": "11"}, {"prices": "00"}, assets=2),
     ],
 )
 def test_tree_json_rejects_malformed(doc):

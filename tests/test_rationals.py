@@ -17,8 +17,22 @@ from martpoly import (
     rat,
     rref,
     solve,
+    vector,
 )
 from martpoly.rationals import Echelon
+
+
+def test_vector_coerces_any_iterable_of_rationals():
+    assert vector(["1/2", 3, Fraction(1, 4)]) == (Fraction(1, 2), Fraction(3), Fraction(1, 4))
+    assert vector(x for x in (1, 2)) == (Fraction(1), Fraction(2))
+    assert vector([]) == ()
+
+
+@pytest.mark.parametrize("bad", ["11", "", b"01", {"1": "2"}, 5, Fraction(1, 2), None])
+def test_vector_refuses_strings_mappings_and_scalars(bad):
+    # a string or a mapping is iterable, but its characters or keys are not a list
+    with pytest.raises(InputError, match="^expected a list of rationals, got "):
+        vector(bad)
 
 
 def test_parse_fraction_string():
