@@ -16,6 +16,7 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence, TextIO
 
 from . import analysis, models, multiperiod
@@ -103,9 +104,62 @@ def _max_outcomes(args: argparse.Namespace) -> int:
     return value
 
 
+def _json_text(document: object) -> str:
+    """The text of ``json.dumps(document, sort_keys=True, indent=2)``.
+
+    Covers what the commands emit: dicts with ``str`` keys, lists, ``str``,
+    ``int``, ``bool`` and ``None``; any other type raises ``TypeError``. Each
+    list and dict is rendered once per depth in a call, keyed by its id:
+    the document keeps every object alive for the call, so an id names one
+    object, and a fragment the document holds at many places is reused.
+    """
+    memo: dict[tuple[int, int], str] = {}
+
+    def value(obj: object, depth: int) -> str:
+        if type(obj) is str:
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if type(obj) is int:
+            return int.__repr__(obj)
+        key = (id(obj), depth)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = container(obj, depth)
+        return text
+
+    def container(obj: object, depth: int) -> str:
+        if type(obj) is list:
+            if not obj:
+                return "[]"
+            items = [value(x, depth + 1) for x in obj]
+            brackets = "[]"
+        elif type(obj) is dict:
+            if not obj:
+                return "{}"
+            if any(type(k) is not str for k in obj):
+                raise TypeError("JSON object keys must be str")
+            items = [
+                f"{encode_basestring_ascii(k)}: {value(v, depth + 1)}"
+                for k, v in sorted(obj.items())
+            ]
+            brackets = "{}"
+        else:
+            raise TypeError(f"cannot render a {type(obj).__name__} as JSON")
+        inner = "\n" + "  " * (depth + 1)
+        return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+    return value(document, 0)
+
+
 def _emit(args: argparse.Namespace, document: dict, human: list[str]) -> None:
+    """Print the report: ``document`` as indented JSON under --json, else ``human``."""
     if args.json:
-        print(json.dumps(document, sort_keys=True, indent=2))
+        print(_json_text(document))
     else:
         for line in human:
             print(line)
@@ -224,8 +278,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
     if args.apply is not None:
         extended = analysis.apply_completion(mkt, plan)
         with _opened(args.apply, "w") as fh:
-            json.dump(market_to_json_dict(extended), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(_json_text(market_to_json_dict(extended)) + "\n")
         human.append(f"extended market written to {args.apply}")
         doc["applied_to"] = args.apply
     _emit(args, doc, human)
@@ -235,6 +288,11 @@ def cmd_complete(args: argparse.Namespace) -> int:
 def cmd_tree_analyze(args: argparse.Namespace) -> int:
     tm = multiperiod.tree_market_from_json_dict(_load_json(args.path))
     report = multiperiod.analyze_tree(tm, max_outcomes=_max_outcomes(args))
+    # components that share a record share its generator strings
+    records = {id(r.characterization): r.characterization for r in report.components}
+    generators = {
+        key: [_vec_strings(g) for g in char.generators] for key, char in records.items()
+    }
     doc = {
         "viable": report.viable,
         "complete": report.complete,
@@ -245,7 +303,7 @@ def cmd_tree_analyze(args: argparse.Namespace) -> int:
                 "outcomes": r.component.market.outcomes,
                 "viable": r.viable,
                 "complete": r.complete,
-                "generators": [_vec_strings(g) for g in r.characterization.generators],
+                "generators": generators[id(r.characterization)],
             }
             for r in report.components
         ],
@@ -266,9 +324,12 @@ def cmd_tree_analyze(args: argparse.Namespace) -> int:
 def cmd_tree_complete(args: argparse.Namespace) -> int:
     tm = multiperiod.tree_market_from_json_dict(_load_json(args.path))
     plans = multiperiod.complete_tree(tm, max_outcomes=_max_outcomes(args))
+    # components that share a plan share its fragment, rendered once
+    distinct = {id(p.plan): p.plan for p in plans}
+    fragments = {key: _plan_document(plan) for key, plan in distinct.items()}
     doc = {
         "plans": [
-            {"time": p.time, "node": p.node_id, **_plan_document(p.plan)}
+            {"time": p.time, "node": p.node_id, **fragments[id(p.plan)]}
             for p in plans
         ]
     }

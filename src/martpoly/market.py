@@ -24,6 +24,7 @@ from .rationals import (
     integer_row,
     rat,
     vector,
+    vectors,
 )
 
 
@@ -80,7 +81,7 @@ def make_market(
     ``outcomes`` is only needed when there are no risky assets, since an empty
     payoff list cannot reveal b.
     """
-    payoff_rows = [vector(row) for row in payoffs]
+    payoff_rows = vectors(payoffs)
     if not payoff_rows and outcomes is None:
         raise InputError("outcome count required for a market with no assets")
     matrix = Matrix.from_rows(payoff_rows, outcomes if not payoff_rows else None)

@@ -111,6 +111,12 @@ class TreeMarket:
     ``branch_probabilities``, when given, assigns each internal node the
     physical probabilities of its children in child order; they are validated
     through the component markets and ignored by all pricing logic.
+
+    Every price vector, probability vector and rate is parsed once per
+    distinct value: a list of strings seen before is looked up, not parsed
+    again, and equal values, however written ("1/2" and "2/4"), are one
+    object. ``components`` relies on this to key its markets by identity.
+    A parse error names the node and field, or ``rates``, it came from.
     """
 
     def __init__(
@@ -125,17 +131,19 @@ class TreeMarket:
             raise InputError("negative asset count")
         self.tree = tree
         self.assets = assets
+        values = _DocumentValues()
+        parse = values.vector
         self.prices: dict[str, Vector] = {}
         for node in tree.nodes:
             if node.id not in prices:
                 raise InputError(f"no price vector for node {quoted(node.id)}")
-            pv = vector(prices[node.id])
+            pv = parse(prices[node.id], "prices", node.id)
             if len(pv) != assets:
                 raise InputError(
                     f"node {quoted(node.id)} has {len(pv)} prices for {assets} assets"
                 )
             self.prices[node.id] = pv
-        self.rates = vector(rates)
+        self.rates = values.scalars(rates, "rates")
         if len(self.rates) != tree.horizon:
             raise InputError(
                 f"{len(self.rates)} rates for a horizon of {tree.horizon} steps"
@@ -149,8 +157,48 @@ class TreeMarket:
                     "branch probabilities must cover exactly the internal nodes"
                 )
             self.branch_probabilities = {
-                node_id: vector(ps) for node_id, ps in branch_probabilities.items()
+                node_id: parse(ps, "probabilities", node_id)
+                for node_id, ps in branch_probabilities.items()
             }
+
+
+class _DocumentValues:
+    """The parsed values of one tree document, each distinct one held once."""
+
+    def __init__(self) -> None:
+        # a list of strings, as a tuple -> its interned vector
+        self._parsed: dict[tuple[str, ...], Vector] = {}
+        # a vector or a scalar -> the one object with its value
+        self._interned: dict = {}
+
+    def vector(
+        self, values: Sequence[RationalLike], field: str, node_id: str | None = None
+    ) -> Vector:
+        """``vector(values)``, interned; an error in it names the field and node.
+
+        Only a list of ``str`` is looked up by its raw entries: ``True``,
+        ``1`` and ``1.0`` compare equal to each other, so a raw lookup of
+        any other list could let a refused value borrow an accepted one.
+        """
+        strings = isinstance(values, (list, tuple)) and all(type(v) is str for v in values)
+        if strings:
+            key = tuple(values)
+            parsed = self._parsed.get(key)
+            if parsed is not None:
+                return parsed
+        try:
+            v = vector(values)
+        except InputError as exc:
+            where = field if node_id is None else f"node {quoted(node_id)} {field}"
+            raise InputError(f"{where}: {exc}") from None
+        v = self._interned.setdefault(v, v)
+        if strings:
+            self._parsed[key] = v
+        return v
+
+    def scalars(self, values: Sequence[RationalLike], field: str) -> Vector:
+        """``vector(values)`` with each entry interned, so equal entries are one object."""
+        return tuple(self._interned.setdefault(x, x) for x in self.vector(values, field))
 
 
 @dataclass(frozen=True)
@@ -167,23 +215,25 @@ def components(tm: TreeMarket) -> tuple[Component, ...]:
 
     The component's spot vector is the node's prices, payoff column w is the
     prices at child w, and the rate is the step rate at the node's time.
-    Components with equal markets share one ``OnePeriodMarket``: it is built
-    once per distinct (rate, spot, child price vectors, probabilities), so a
-    caller may key its records by the market's identity.
+    Components share one ``OnePeriodMarket`` exactly when their rate, spot,
+    child price vectors and probabilities are the same objects, so a caller
+    may key its records by the market's identity. Identity never merges
+    unequal markets, and since ``TreeMarket`` holds each distinct value as
+    one object, every pair of equal markets shares one.
     """
     markets: dict[tuple, OnePeriodMarket] = {}
     out: list[Component] = []
+    prices, rates, probabilities = tm.prices, tm.rates, tm.branch_probabilities
     for node in tm.tree.internal_nodes():
-        probs = None
-        if tm.branch_probabilities is not None:
-            probs = tm.branch_probabilities[node.id]
-        kid_prices = tuple(tm.prices[kid] for kid in node.children)
-        key = (tm.rates[node.time], tm.prices[node.id], kid_prices, probs)
+        probs = None if probabilities is None else probabilities[node.id]
+        kid_prices = tuple(prices[kid] for kid in node.children)
+        rate, spot = rates[node.time], prices[node.id]
+        key = (id(rate), id(spot), tuple(map(id, kid_prices)), id(probs))
         market = markets.get(key)
         if market is None:
             market = markets[key] = OnePeriodMarket(
-                rate=tm.rates[node.time],
-                spot=tm.prices[node.id],
+                rate=rate,
+                spot=spot,
                 payoffs=Matrix(kid_prices, tm.assets).transpose(),
                 probabilities=probs,
             )

@@ -91,14 +91,25 @@ def rat(value: RationalLike) -> Fraction:
     raise InputError(f"cannot interpret {quoted(value)} as an exact rational")
 
 
-def vector(values: Iterable[RationalLike]) -> Vector:
-    """Coerce a list of rationals; a string, a mapping or a scalar is not one."""
+def _require_list(values: object, of: str) -> None:
+    """Refuse a value that is not a list: a string, a mapping or a scalar."""
     # lists and tuples skip the abstract-class checks, a microsecond a call
     if not isinstance(values, (list, tuple)) and (
         isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable)
     ):
-        raise InputError(f"expected a list of rationals, got {quoted(values)}")
+        raise InputError(f"expected a list of {of}, got {quoted(values)}")
+
+
+def vector(values: Iterable[RationalLike]) -> Vector:
+    """Coerce a list of rationals; a string, a mapping or a scalar is not one."""
+    _require_list(values, "rationals")
     return tuple(rat(v) for v in values)
+
+
+def vectors(rows: Iterable[Iterable[RationalLike]]) -> tuple[Vector, ...]:
+    """Coerce a list of rows, each a list of rationals, as ``vector`` does."""
+    _require_list(rows, "rows")
+    return tuple(vector(row) for row in rows)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -143,7 +154,7 @@ class Matrix:
     def from_rows(
         cls, rows: Iterable[Iterable[RationalLike]], cols: int | None = None
     ) -> "Matrix":
-        converted = tuple(vector(row) for row in rows)
+        converted = vectors(rows)
         if cols is None:
             if not converted:
                 raise InputError("column count required for a matrix with no rows")
@@ -169,7 +180,7 @@ class Matrix:
         return Matrix(tuple(self.column(j) for j in range(self.cols)), self.rows)
 
     def with_rows(self, extra: Iterable[Iterable[RationalLike]]) -> "Matrix":
-        return Matrix(self.entries + tuple(vector(r) for r in extra), self.cols)
+        return Matrix(self.entries + vectors(extra), self.cols)
 
     def select_columns(self, indices: Sequence[int]) -> "Matrix":
         return Matrix(

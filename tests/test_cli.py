@@ -4,9 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from martpoly import MartingaleSystem, models, parse_rational
-from martpoly.cli import main
+from martpoly.cli import _json_text, main
 
 
 EX4_DOC = {"rate": "0", "spot": ["1"], "payoffs": [["2", "0", "0", "0"]]}
@@ -272,6 +274,23 @@ def test_tree_malformed(tmp_path, capsys):
     root = {**BINOMIAL_TREE_DOC["nodes"][0], "prices": "1"}
     spelled = {**BINOMIAL_TREE_DOC, "nodes": [root] + BINOMIAL_TREE_DOC["nodes"][1:]}
     assert main(["tree", "analyze", write_doc(tmp_path, "s.json", spelled)]) == 2
+    # a parse error names the node and field, or the rates, it came from
+    capsys.readouterr()
+    nodes = BINOMIAL_TREE_DOC["nodes"]
+    weighted = [
+        {**n, "probabilities": ["1/2", "x" if n["id"] == "d" else "1/2"]} if n["children"] else n
+        for n in nodes
+    ]
+    cases = [
+        ({"nodes": [{**nodes[0], "prices": "11"}] + nodes[1:]},
+         "node 'r' prices: expected a list of rationals, got '11'"),
+        ({"nodes": weighted}, "node 'd' probabilities: malformed rational 'x'"),
+        ({"rates": ["0", "1/0"]}, "rates: zero denominator in rational '1/0'"),
+    ]
+    for change, message in cases:
+        path = write_doc(tmp_path, "named.json", {**BINOMIAL_TREE_DOC, **change})
+        assert main(["tree", "analyze", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_kkl_command_writes_surface(tmp_path, capsys):
@@ -428,3 +447,77 @@ def test_human_output_runs(tmp_path, capsys):
     assert main(["analyze", path]) == 0
     out = capsys.readouterr().out
     assert "viable" in out and "(1/2, 1/2, 0, 0)" in out
+
+
+def shared_at_two_depths(inner: st.SearchStrategy) -> st.SearchStrategy:
+    """One object placed at two depths of a document."""
+    return inner.map(lambda x: {"outer": x, "nested": [[x], x]})
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600", "\u2028"])
+)
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    | shared_at_two_depths(inner),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(JSON_DOCUMENTS)
+@example([[], {}, [[]], {"": {}}])
+@example({"b": -(10**50), "a": [True, False, None], "\u00e9": "\ud83d\ude00"})
+def test_json_text_matches_json_dumps(document):
+    assert _json_text(document) == json.dumps(document, sort_keys=True, indent=2)
+
+
+def test_json_text_renders_a_shared_list_at_each_depth():
+    shared = ["x", ["y"]]
+    document = {"a": shared, "b": [shared, {"c": shared}], "d": [shared]}
+    assert _json_text(document) == json.dumps(document, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1,), {1: "a"}, Fraction(1, 2), b"x"])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text({"value": [value]})
+
+
+def test_tree_reports_share_each_records_fragments(tmp_path, monkeypatch):
+    """Components with one record or plan hold its JSON lists as one object."""
+    from martpoly import cli
+
+    documents = []
+
+    def capture(document):
+        documents.append(document)
+        return json.dumps(document, sort_keys=True, indent=2)
+
+    monkeypatch.setattr(cli, "_json_text", capture)
+    # the root, and then nodes a, b and c alike, are incomplete trinomial markets
+    nodes = [{"id": "r", "time": 0, "children": ["a", "b", "c"], "prices": ["1"]}]
+    for node in "abc":
+        kids = [node + kid for kid in "xyz"]
+        nodes.append({"id": node, "time": 1, "children": kids, "prices": ["1"]})
+        nodes += [
+            {"id": kid, "time": 2, "prices": [price]} for kid, price in zip(kids, ["1/2", "1", "2"])
+        ]
+    path = write_doc(tmp_path, "tree.json", {"assets": 1, "rates": ["0", "0"], "nodes": nodes})
+    assert main(["tree", "analyze", path, "--json"]) == 0
+    assert main(["tree", "complete", path, "--json"]) == 0
+    analyzed, completed = documents
+    root, *shared = analyzed["components"]
+    assert [c["node"] for c in shared] == ["a", "b", "c"]
+    assert all(c["generators"] is shared[0]["generators"] for c in shared)
+    assert root["generators"] is not shared[0]["generators"]
+    root_plan, *plans = completed["plans"]
+    assert [p["node"] for p in plans] == ["a", "b", "c"]
+    for field in ("added_rows", "price_map", "weights", "prices", "outcome_support"):
+        assert all(p[field] is plans[0][field] for p in plans)

@@ -91,6 +91,25 @@ def test_kkl_output_digest(options, tmp_path, monkeypatch):
     assert hashlib.sha256(csv_bytes).hexdigest() == csv_digest
 
 
+# market -> SHA-256 of the extended market that `complete --apply` writes,
+# recorded while the file was still written by json.dump
+APPLY_GOLDEN = {
+    "demos/data/incomplete_market.json":
+        "a9408633e3603615358d888591780b23cc1b5b580c7dd0e3a0791a42321377af",
+    "demos/data/trinomial_market.json":
+        "6025b065bcb1a599e31c181c7c4bf30d02992cb955301efc22d276a7320ef85a",
+}
+
+
+@pytest.mark.parametrize("market", sorted(APPLY_GOLDEN))
+def test_complete_apply_file_digest(market, tmp_path):
+    out = tmp_path / "extended.json"
+    with redirect_stdout(io.StringIO()):
+        code = main(["complete", str(ROOT / market), "--apply", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == APPLY_GOLDEN[market]
+
+
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(script):
     env = dict(os.environ)

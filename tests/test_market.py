@@ -148,6 +148,21 @@ def test_string_rows_and_payoffs_are_not_lists():
         price_bounds(mkt, "01")
 
 
+def test_row_lists_that_are_not_lists_of_lists_are_refused():
+    """A payoff or row list that is a scalar, a string, or holds one, is bad input."""
+    with pytest.raises(InputError, match="^expected a list of rows, got 5$"):
+        make_market(0, [1], 5)
+    with pytest.raises(InputError, match="^expected a list of rows, got 5$"):
+        system_from_rows(5, [1])
+    with pytest.raises(InputError, match="^expected a list of rows, got '12'$"):
+        Matrix.from_rows("12")
+    with pytest.raises(InputError, match="^expected a list of rationals, got 3$"):
+        Matrix.from_rows([[1, 2], 3])
+    with pytest.raises(InputError, match="^expected a list of rows, got 7$"):
+        Matrix.from_rows([[1, 2]], 2).with_rows(7)
+    assert Matrix.from_rows(iter([(1, "1/2")])) == Matrix(((Fraction(1), Fraction(1, 2)),), 2)
+
+
 def test_long_non_string_value_is_not_echoed_whole():
     doc = {"rate": [1] * 5000, "spot": ["1"], "payoffs": [["1", "2"]]}
     with pytest.raises(InputError) as exc:

@@ -29,6 +29,7 @@ from martpoly import (
     kkl_build,
     kkl_params,
     kkl_viability,
+    make_market,
     rank,
     tree_market_from_json_dict,
     tree_market_to_json_dict,
@@ -453,3 +454,103 @@ def test_components_share_exactly_the_equal_markets(monkeypatch):
     counts = count_builds_and_analyses(monkeypatch)
     analyze_tree(tm)
     assert counts == {"markets": 3, "characterize": 3}
+
+
+def spelled_tree_doc() -> dict:
+    """Two levels of binary branching where every value is 1, 1/10 or 1/2,
+    each written several ways, so all three components are one market."""
+    def node(node_id, time, prices, children=(), probabilities=None):
+        entry = {"id": node_id, "time": time, "children": list(children), "prices": prices}
+        if probabilities is not None:
+            entry["probabilities"] = probabilities
+        return entry
+
+    return {
+        "assets": 1,
+        "rates": ["1/10", "0.1"],
+        "nodes": [
+            node("r", 0, ["1"], ("a", "b"), ["1/2", "1/2"]),
+            node("a", 1, ["1"], ("aa", "ab"), ["2/4", "0.5"]),
+            node("b", 1, ["2/2"], ("ba", "bb"), ["1/2", "1/2"]),
+            node("aa", 2, ["1.0"]),
+            node("ab", 2, ["01"]),
+            node("ba", 2, ["3/3"]),
+            node("bb", 2, ["1"]),
+        ],
+    }
+
+
+def test_equal_values_written_differently_are_one_object():
+    tm = tree_market_from_json_dict(spelled_tree_doc())
+    prices = tm.prices
+    assert prices["r"] is prices["a"] is prices["b"] is prices["aa"] is prices["ba"]
+    assert tm.rates[0] is tm.rates[1]
+    probs = tm.branch_probabilities
+    assert probs["r"] is probs["a"] is probs["b"]
+    assert len({id(comp.market) for comp in components(tm)}) == 1
+    # the library path, with Fractions and ints, interns the same way
+    lib = TreeMarket(
+        tm.tree,
+        assets=1,
+        prices={node_id: (Fraction(1),) if i % 2 else (1,) for i, node_id in enumerate(prices)},
+        rates=(Fraction(1, 10), "1/10"),
+    )
+    assert len({id(comp.market) for comp in components(lib)}) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_components_share_a_market_exactly_when_equal(seed):
+    """Identity keys share every pair of equal markets and merge no unequal pair."""
+    rng = random.Random(7100 + seed)
+    spellings = {
+        Fraction(1): ["1", "2/2", "1.0"],
+        Fraction(2): ["2", "4/2"],
+        Fraction(1, 2): ["1/2", "0.5", "2/4"],
+    }
+
+    def spelled(*choices):
+        return rng.choice(spellings[rng.choice(choices)])
+
+    ids = ["r" + "".join(path) for t in range(6) for path in product("ab", repeat=t)]
+    nodes = []
+    for i in ids:
+        entry = {"id": i, "time": len(i) - 1, "children": [], "prices": [spelled(1, 2)]}
+        if len(i) < 6:
+            entry["children"] = [i + "a", i + "b"]
+            half = [spelled(Fraction(1, 2)) for _ in range(2)]
+            entry["probabilities"] = rng.choice([half, ["1/3", "2/3"]])
+        nodes.append(entry)
+    rates = [spelled(Fraction(1, 2), 1) for _ in range(5)]
+    tm = tree_market_from_json_dict({"assets": 1, "rates": rates, "nodes": nodes})
+    comps = components(tm)
+    expected = [
+        make_market(
+            rate=tm.rates[comp.time],
+            spot=tm.prices[comp.node_id],
+            payoffs=[[tm.prices[kid][0] for kid in tm.tree.node(comp.node_id).children]],
+            probabilities=tm.branch_probabilities[comp.node_id],
+        )
+        for comp in comps
+    ]
+    assert [comp.market for comp in comps] == expected
+    pairs = [
+        (comps[j].market is comps[k].market, expected[j] == expected[k])
+        for j in range(len(comps))
+        for k in range(j + 1, len(comps))
+    ]
+    assert all(shared == equal for shared, equal in pairs)
+    assert any(shared for shared, _ in pairs) and not all(equal for _, equal in pairs)
+
+
+def test_refused_values_stay_refused_after_an_equal_accepted_one(tmp_path, capsys):
+    """True and 1.0 equal 1 as dict keys, yet "1" or 1 parsed earlier admits neither."""
+    from martpoly.cli import main
+
+    for earlier in ("1", 1):
+        for later in (True, 1.0):
+            doc = one_step_tree({"prices": [earlier]}, {"prices": [later]})
+            path = tmp_path / "t.json"
+            path.write_text(json.dumps(doc))
+            assert main(["tree", "analyze", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: node 'd' prices: cannot interpret ")
