@@ -15,9 +15,9 @@ rank b of the ones-augmented payoff matrix, equivalently a unique measure.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import InputError, NotViableError
 from .geometry import DEFAULT_MAX_OUTCOMES, GeneratorSet, enumerate_generators
@@ -265,15 +265,17 @@ def complete_market(
 def _plan_from_record(
     mkt: OnePeriodMarket, char: EmmCharacterization, weights: Iterable[RationalLike] | None
 ) -> CompletionPlan:
-    """The completion plan of ``mkt`` read off its characterization ``char``."""
+    """The completion plan read off ``char``; uniform weights price at ``char.witness``."""
     if not char.emm_exists:
         raise NotViableError("only arbitrage-free markets can be completed")
     b = mkt.outcomes
     k = len(char.generators)
     if weights is None:
         w = (Fraction(1, k),) * k
+        blended = char.witness
     else:
         w = validate_weights(char, weights)
+        blended = mixture(char.generators, w)
 
     added = [unit_vector(i, b) for i in char.completing_outcomes]
 
@@ -283,7 +285,6 @@ def _plan_from_record(
         tuple(g[i] / discount for g in char.generators)
         for i in char.completing_outcomes
     )
-    blended = mixture(char.generators, w)
     prices = tuple(blended[i] / discount for i in char.completing_outcomes)
     return CompletionPlan(
         added_payoff_rows=Matrix(tuple(added), b),

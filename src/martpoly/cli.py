@@ -14,10 +14,11 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Sequence, TextIO
+from typing import TextIO
 
 from . import analysis, models, multiperiod
 from .errors import (
@@ -382,9 +383,8 @@ def cmd_kkl(args: argparse.Namespace) -> int:
     ]
     surface = None
     if viable:
-        surface = models.kkl_backward_induction(
-            params, models.put_terminal(params), emm_p
-        )
+        put = models.put_terminal(params)
+        surface = models.kkl_backward_induction(params, put, emm_p)
         violations = models.kkl_completion_check(surface)
         root_value = surface.value(0, params.s0)
         doc["put_root_value"] = format_rational(root_value)
@@ -398,10 +398,7 @@ def cmd_kkl(args: argparse.Namespace) -> int:
             seed = args.seed or 0
             result = models.kkl_perturb_terminal(params, eps, seed, emm_p)
             surface = result.surface
-            deviation = max(
-                abs(result.terminal[k] - base)
-                for k, base in models.put_terminal(params).items()
-            )
+            deviation = max(abs(result.terminal[k] - base) for k, base in put.items())
             doc["perturbation"] = {
                 "epsilon": format_rational(eps),
                 "seed": seed,

@@ -10,7 +10,7 @@ class InputError(MartpolyError):
 
 
 class LimitExceededError(MartpolyError):
-    """A size guard (faces, lattice grid, tree nodes) was hit before the work started."""
+    """A size guard (faces, lattice grid, tree nodes) or a value too long to print."""
 
 
 class NotViableError(MartpolyError):

@@ -15,10 +15,10 @@ generators exactly, two independent ways:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .errors import InputError, InternalContractError, LimitExceededError
 from .market import MartingaleSystem, augmented_matrix

@@ -9,10 +9,10 @@ the measure polytope is read from that reduction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .errors import InputError
 from .rationals import (
@@ -84,7 +84,7 @@ def make_market(
     payoff_rows = vectors(payoffs)
     if not payoff_rows and outcomes is None:
         raise InputError("outcome count required for a market with no assets")
-    matrix = Matrix.from_rows(payoff_rows, outcomes if not payoff_rows else None)
+    matrix = Matrix(payoff_rows, len(payoff_rows[0]) if payoff_rows else outcomes)
     if outcomes is not None and matrix.cols != outcomes:
         raise InputError(f"payoff rows have {matrix.cols} columns, outcomes={outcomes}")
     return OnePeriodMarket(

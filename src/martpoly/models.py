@@ -23,10 +23,11 @@ reduced to Fractions only when they are read.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, TextIO, Union
+from typing import TextIO, Union
 
 from .analysis import PriceBounds, bounds_from_values
 from .errors import (
@@ -286,23 +287,16 @@ def kkl_transition(params: KklParams, k: int) -> Vector:
 
 
 def kkl_component_market(params: KklParams, k: int) -> OnePeriodMarket:
-    """The one-period submarket at a state, identical at every time step.
+    """The one-period submarket at a state: one outcome per ``_child_states`` child.
 
     Every component of the full lattice tree with current price k is this
     market, so checking one per distinct state checks them all.
     """
-    if k == 0:
-        return OnePeriodMarket(
-            rate=params.step_rate,
-            spot=(Fraction(0),),
-            payoffs=Matrix(((Fraction(0),),), 1),
-            probabilities=kkl_transition(params, 0),
-        )
-    row = (Fraction(k - 1), Fraction(k), Fraction(k + 1))
+    row = tuple(map(Fraction, _child_states(k)))
     return OnePeriodMarket(
         rate=params.step_rate,
         spot=(Fraction(k),),
-        payoffs=Matrix((row,), 3),
+        payoffs=Matrix((row,), len(row)),
         probabilities=kkl_transition(params, k),
     )
 
@@ -436,7 +430,7 @@ class DerivativeSurface:
 
 
 def put_terminal(params: KklParams) -> dict[int, Fraction]:
-    """Strike-one put payoff on the terminal states: one at zero, else zero."""
+    """Strike-one put payoff on the terminal states, in grid order: one at zero, else zero."""
     return {
         k: Fraction(1) if k == 0 else Fraction(0) for k in kkl_grid(params)[-1]
     }
@@ -447,7 +441,7 @@ def kkl_node_emm(params: KklParams, k: int, p: RationalLike) -> Vector:
     if k < 1:
         raise InputError("only branching states k >= 1 carry a trinomial measure")
     fm = FactorModel(
-        factors=(1 - Fraction(1, k), Fraction(1), 1 + Fraction(1, k)),
+        factors=tuple(Fraction(child, k) for child in _child_states(k)),
         rate=params.step_rate,
         spot=Fraction(k),
     )
@@ -530,16 +524,14 @@ def kkl_backward_induction(
         if low == 0:
             # zero absorbs, and stays at index 0 of the next layer
             cur.append(absorbed * nxt[0])
-        k = max(low, 1)
-        j = k - 1 - levels[t + 1][0]  # the down child's index in the next layer
-        for index in row:
+        first = max(low, 1)
+        # branch j's down child is index j: the first's is the next layer's lowest state
+        for j, index in enumerate(row):
             down, stay, up = nxt[j], nxt[j + 1], nxt[j + 2]
             w_down, w_stay, w_up = integer_weights[index]
             cur.append(w_down * down + w_stay * stay + w_up * up)
             if down + up == 2 * stay:
-                bad.append((t, k))
-            k += 1
-            j += 1
+                bad.append((t, first + j))
         layers[t] = cur
         scales[t] = scales[t + 1] * denominator
         bad_layers.append(bad)
@@ -593,13 +585,12 @@ def kkl_perturb_terminal(
     if eps <= 0:
         raise InputError("perturbation size must be positive")
     base = put_terminal(params)
-    states = sorted(base)
     rng = random.Random(seed)
     for attempt in range(1, _PERTURB_ATTEMPTS + 1):
         terminal = {
-            k: base[k] + eps * Fraction(rng.randrange(1, _PERTURB_DENOMINATOR),
-                                        _PERTURB_DENOMINATOR)
-            for k in states
+            k: v + eps * Fraction(rng.randrange(1, _PERTURB_DENOMINATOR),
+                                  _PERTURB_DENOMINATOR)
+            for k, v in base.items()
         }
         surface = kkl_backward_induction(params, terminal, emm_p)
         if not kkl_completion_check(surface):

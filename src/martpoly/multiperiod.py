@@ -9,8 +9,8 @@ components are.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 from .analysis import CompletionPlan, EmmCharacterization, _plan_from_record, characterize
 from .analysis import complete_market  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
@@ -62,7 +62,6 @@ class EventTree:
 
         order: list[TreeNode] = []
         frontier = [root]
-        seen = {root.id}
         while frontier:
             order.extend(frontier)
             nxt: list[TreeNode] = []
@@ -74,11 +73,10 @@ class EventTree:
                             f"child {quoted(child_id)} at time {quoted(child.time)} under "
                             f"{quoted(node.id)} at time {quoted(node.time)}"
                         )
-                    seen.add(child_id)
                     nxt.append(child)
             frontier = nxt
-        if len(seen) != len(node_list):
-            orphans = sorted(set(by_id) - seen)
+        if len(order) != len(node_list):
+            orphans = sorted(set(by_id).difference(n.id for n in order))
             raise InputError(f"nodes unreachable from the root: {quoted(orphans)}")
 
         leaf_times = {n.time for n in node_list if not n.children}

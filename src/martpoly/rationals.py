@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
-from .errors import InputError, quoted
+from .errors import InputError, LimitExceededError, quoted
 
 Vector = tuple[Fraction, ...]
 RationalLike = Union[Fraction, int, str]
@@ -70,8 +70,19 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical string form: "p/q", or just "p" when the denominator is 1."""
-    return str(value)
+    """Canonical string form: "p/q", or just "p" when the denominator is 1.
+
+    A value past the interpreter's limit on decimal digits raises
+    ``LimitExceededError``, which names the limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        bits = value.numerator.bit_length() + value.denominator.bit_length()
+        raise LimitExceededError(
+            f"a {bits}-bit rational is too long to print: over the limit of "
+            f"{sys.get_int_max_str_digits()} decimal digits"
+        ) from None
 
 
 def rat(value: RationalLike) -> Fraction:

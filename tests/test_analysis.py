@@ -160,6 +160,25 @@ def test_completion_trinomial_single_row():
     assert is_complete(apply_completion(TRINOMIAL, plan))
 
 
+def test_default_completion_prices_read_the_witness(monkeypatch):
+    calls = []
+    real_mixture = analysis.mixture
+
+    def counting_mixture(*args):
+        calls.append(args)
+        return real_mixture(*args)
+
+    monkeypatch.setattr(analysis, "mixture", counting_mixture)
+    mkt = make_market(rate="1/10", spot=["1"], payoffs=[["1/2", "1", "2", "3/2"]])
+    plan = complete_market(mkt)
+    assert calls == []
+    witness = plan.characterization.witness
+    assert plan.prices == tuple(
+        witness[i] / Fraction(11, 10) for i in plan.characterization.completing_outcomes
+    )
+    assert len(plan.prices) == 2
+
+
 def test_completion_requires_viability():
     with pytest.raises(NotViableError):
         complete_market(NO_MEASURES)

@@ -286,6 +286,11 @@ def test_tree_malformed(tmp_path, capsys):
          "node 'r' prices: expected a list of rationals, got '11'"),
         ({"nodes": weighted}, "node 'd' probabilities: malformed rational 'x'"),
         ({"rates": ["0", "1/0"]}, "rates: zero denominator in rational '1/0'"),
+        # a detached two-node cycle: each node has one parent, neither is reached
+        ({"nodes": nodes + [
+            {"id": "a", "time": 1, "children": ["b"], "prices": ["1"]},
+            {"id": "b", "time": 1, "children": ["a"], "prices": ["1"]},
+        ]}, "nodes unreachable from the root: ['a', 'b']"),
     ]
     for change, message in cases:
         path = write_doc(tmp_path, "named.json", {**BINOMIAL_TREE_DOC, **change})
@@ -321,6 +326,25 @@ def test_unwritable_output_paths_are_malformed_input(tmp_path, capsys):
     assert main(kkl + ["--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
     assert not (tmp_path / "missing").exists()
+
+
+def test_values_too_long_to_print_exit_3(tmp_path, capsys):
+    # each input fits the digit limit; the grown right-hand side, or the
+    # lattice root after 200 steps at this rate, does not
+    tiny = {"rate": "1e-4000", "spot": ["3e-4000"], "payoffs": [["0", "1"]]}
+    kkl = [
+        "kkl", "--s0", "2", "--lambda", "1/64", "--eta", "1/64", "--steps", "200",
+        "--rate", "1e-30",
+    ]
+    for argv in (["analyze", write_doc(tmp_path, "tiny.json", tiny)], kkl):
+        for json_flag in ([], ["--json"]):
+            assert main(argv + json_flag) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: a ")
+            assert captured.err.endswith(
+                "-bit rational is too long to print: over the limit of 4300 decimal digits\n"
+            )
 
 
 def test_kkl_not_viable_still_reports(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from martpoly import rationals
 from martpoly import (
     InputError,
     Matrix,
@@ -65,6 +66,21 @@ def test_market_from_system_round_trips():
     sys = build_system(mkt)
     assert sys.matrix == Matrix.from_rows([[2, 0, 0, 0]])
     assert sys.rhs == (Fraction(1),)
+
+
+def test_make_market_coerces_each_payoff_entry_once(monkeypatch):
+    calls = []
+    real_rat = rationals.rat
+
+    def counting_rat(value):
+        calls.append(value)
+        return real_rat(value)
+
+    monkeypatch.setattr(rationals, "rat", counting_rat)
+    mkt = make_market(rate=0, spot=["1", "2"], payoffs=[["1", "2", "3"], ["4", "5", "6"]])
+    # two spot prices and six payoff entries, each coerced once
+    assert calls == ["1", "2", "3", "4", "5", "6", "1", "2"]
+    assert mkt.payoffs == Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
 
 
 def test_single_outcome_allowed():

@@ -458,16 +458,22 @@ def test_perturbation_rejects_bad_epsilon():
 
 
 def test_kkl_tree_pipeline_agrees_with_state_markets():
-    params = kkl_params(s0=2, lam="1/8", eta="1/8", rate="1/10", horizon=1, steps=2)
-    report = analyze_tree(kkl_build(params))
-    assert report.viable == kkl_viability(params)
-    assert not report.complete  # single asset, trinomial nodes
-    for comp_report in report.components:
-        k = int(comp_report.component.market.spot[0])
-        state_market = kkl_component_market(params, k)
-        assert characterize(state_market).generators == (
-            comp_report.characterization.generators
-        )
+    # from s0 = 1 the absorbed state 0 branches at steps 1 and 2
+    for s0, steps in [(2, 2), (1, 3)]:
+        params = kkl_params(s0=s0, lam="1/8", eta="1/8", rate="1/10", horizon=1, steps=steps)
+        report = analyze_tree(kkl_build(params))
+        assert report.viable == kkl_viability(params)
+        assert not report.complete  # single asset, trinomial nodes
+        states = set()
+        for comp_report in report.components:
+            k = int(comp_report.component.market.spot[0])
+            states.add(k)
+            state_market = kkl_component_market(params, k)
+            assert state_market == comp_report.component.market
+            assert characterize(state_market).generators == (
+                comp_report.characterization.generators
+            )
+        assert (0 in states) == (s0 == 1)
 
 
 def test_kkl_grid_size_matches_built_grid():

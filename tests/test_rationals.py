@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from martpoly import (
     InputError,
+    LimitExceededError,
     Matrix,
     format_rational,
     parse_rational,
@@ -64,6 +65,13 @@ def test_parse_rejects_zero_denominator():
 def test_format_round_trip():
     for text in ["-3/2", "7", "0", "22/7"]:
         assert format_rational(parse_rational(text)) == text
+
+
+def test_format_refuses_a_value_too_long_to_print():
+    limit = sys.get_int_max_str_digits()
+    assert format_rational(Fraction(1, 10 ** (limit - 1))) == "1/1" + "0" * (limit - 1)
+    with pytest.raises(LimitExceededError, match=f"over the limit of {limit} decimal digits"):
+        format_rational(Fraction(1, 10**limit))
 
 
 def test_rat_rejects_floats():
