@@ -40,6 +40,7 @@ from .geometry import (
     convex_hull_member,
     enumerate_generators,
     face_intersection,
+    face_walk_generators,
 )
 from .market import (
     MartingaleSystem,

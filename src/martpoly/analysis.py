@@ -226,6 +226,13 @@ def validate_weights(
     Equivalently, the resulting mixture must be strictly positive in every
     outcome, i.e. an equivalent martingale measure.
     """
+    return _weights_and_mixture(char, weights)[0]
+
+
+def _weights_and_mixture(
+    char: EmmCharacterization, weights: Iterable[RationalLike]
+) -> tuple[Vector, Vector]:
+    """``validate_weights``'s weights, with the mixture it checked."""
     w = vector(weights)
     if len(w) != len(char.generators):
         raise InputError(
@@ -241,7 +248,7 @@ def validate_weights(
         raise InputError(
             f"weights leave zero mass on outcome(s) {dead}; support conditions violated"
         )
-    return w
+    return w, blended
 
 
 def complete_market(
@@ -274,8 +281,7 @@ def _plan_from_record(
         w = (Fraction(1, k),) * k
         blended = char.witness
     else:
-        w = validate_weights(char, weights)
-        blended = mixture(char.generators, w)
+        w, blended = _weights_and_mixture(char, weights)
 
     added = [unit_vector(i, b) for i in char.completing_outcomes]
 

@@ -88,7 +88,7 @@ def _parse_rational_list(text: str, what: str) -> Vector:
 
 
 def _max_outcomes(args: argparse.Namespace) -> int:
-    """The face-enumeration guard: the flag, else the environment, else the default."""
+    """The enumeration guard: the flag, else the environment, else the default."""
     if args.max_outcomes is not None:
         value, source = args.max_outcomes, "--max-outcomes"
     else:
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-outcomes",
             type=int,
             default=None,
-            help=f"face-enumeration guard (default {DEFAULT_MAX_OUTCOMES}, "
+            help=f"enumeration guard (default {DEFAULT_MAX_OUTCOMES}, "
             f"env {ENV_MAX_OUTCOMES})",
         )
 

@@ -4,13 +4,19 @@ The set of martingale measures of a one-period market is the intersection of
 the standard simplex with the affine solution space A of the linear system.
 That intersection is a polytope, and every measure is a convex combination of
 finitely many vertex measures, its generators. This module enumerates those
-generators exactly, two independent ways:
+generators exactly, three independent ways:
 
-* ``enumerate_generators`` walks simplex faces by ascending dimension,
+* ``enumerate_generators`` runs the double-description method on the cone
+  over the polytope: it starts from the simplicial cone that the free
+  coordinates of ``MartingaleSystem.reduced`` span and adds the remaining
+  nonnegativity constraints one at a time, keeping only extreme rays. Its
+  cost follows the rays it keeps and the ray pairs it tests.
+* ``face_walk_generators`` walks simplex faces by ascending dimension,
   extending only faces whose entire boundary failed to meet A, so each
-  generator is found in the relative interior of its own face.
+  generator is found in the relative interior of its own face. It pays for
+  every face it inspects and is kept as an oracle.
 * ``brute_force_generators`` tries every nonempty outcome subset. It is the
-  oracle the staged walk is tested against.
+  oracle both others are tested against.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import InputError, InternalContractError, LimitExceededError
 from .market import MartingaleSystem, augmented_matrix
@@ -158,7 +165,114 @@ def _stage_candidates(non_intersecting: set[Face], outcomes: int) -> list[Face]:
 def enumerate_generators(
     sys: MartingaleSystem, *, max_outcomes: int = DEFAULT_MAX_OUTCOMES
 ) -> GeneratorSet:
-    """Vertices of {q >= 0, sum(q) = 1, matrix q = rhs} by staged face walk.
+    """Vertices of {q >= 0, sum(q) = 1, matrix q = rhs} by double description.
+
+    The vertices are the extreme rays of the cone {(x, t) >= 0 : [1; matrix]
+    x = rhs t}, scaled to t = 1; its equations are the rows of
+    ``sys.reduced``, so nothing is eliminated again. A pivot in the rhs
+    column means the system is inconsistent and the result is empty.
+    Otherwise each row's pivot is its last nonzero outcome column, and the
+    other d = b + 1 - rank [1; matrix] coordinates, t among them,
+    parametrise the cone's linear hull. Their d unit vectors span the
+    starting cone, where only the free coordinates are nonnegative.
+
+    The double-description method (Motzkin et al. 1953; Fukuda and Prodon
+    1996) then adds each pivot coordinate's x_p >= 0, keeping the cone's
+    extreme rays. A ray is an integer vector divided by its gcd, with its
+    zero set over the constraints added so far as a bitmask. Rays with
+    x_p < 0 are dropped, and each adjacent pair across the hyperplane
+    contributes its positive combination with x_p = 0. A pair is adjacent
+    when no third ray vanishes wherever both do, and it needs at least
+    d - 2 common zeros to be. The cost grows with the rays kept and the
+    pairs tested, not with b's faces.
+
+    A final ray is a nonzero x >= 0 with t = sum(x) by the ones row, so
+    t > 0, and its vertex is q = x / t. The vertices are listed
+    by support size and then support, the discovery order of a face walk
+    by ascending dimension (``face_walk_generators``). ``max_outcomes``
+    refuses a large market with LimitExceededError before any work.
+    """
+    b = sys.outcomes
+    if b > max_outcomes:
+        raise LimitExceededError(
+            f"{b} outcomes exceeds the enumeration guard of {max_outcomes}"
+        )
+    rows, pivots = sys.reduced
+    if pivots[-1] == b:
+        return GeneratorSet(b, ())
+    # row i reads a * x_p + sum over free j of coef[j] * x_j = 0, t = x_b
+    equations = []
+    for row in rows:
+        p = max(j for j in range(b) if row[j])
+        coef = {j: x for j, x in enumerate(row[:b]) if x and j != p}
+        if row[b]:
+            coef[b] = -row[b]
+        equations.append((p, row[p], coef))
+    bound = {p for p, _, _ in equations}
+    free = [j for j in range(b + 1) if j not in bound]
+    scale = lcm(*(a for _, a, _ in equations))
+    # start cone: ray k is free coordinate k at ``scale``, the others at 0,
+    # with the pivot coordinates solved from the equations
+    rays: list[tuple[list[int], int]] = []
+    free_mask = sum(1 << j for j in free)
+    for k in free:
+        v = [0] * (b + 1)
+        v[k] = scale
+        for p, a, coef in equations:
+            v[p] = -coef.get(k, 0) * (scale // a)
+        g = gcd(*v)
+        rays.append(([x // g for x in v], free_mask & ~(1 << k)))
+
+    least_common = len(free) - 2
+    for p in sorted(bound):
+        bit = 1 << p
+        positive, negative, kept = [], [], []
+        for v, zeros in rays:
+            if v[p] > 0:
+                positive.append((v, zeros))
+                kept.append((v, zeros))
+            elif v[p] < 0:
+                negative.append((v, zeros))
+            else:
+                kept.append((v, zeros | bit))
+        masks = [zeros for _, zeros in rays]
+        for vp, zp in positive:
+            for vn, zn in negative:
+                common = zp & zn
+                if common.bit_count() < least_common or not _adjacent(common, masks):
+                    continue
+                sp, sn = vp[p], -vn[p]
+                v = [sp * x + sn * y for x, y in zip(vn, vp)]
+                g = gcd(*v)
+                kept.append(([x // g for x in v], common | bit))
+        rays = kept
+
+    vertices = sorted(
+        ((tuple(i for i in range(b) if v[i]), v) for v, _ in rays),
+        key=lambda sv: (len(sv[0]), sv[0]),
+    )
+    zero = Fraction(0)
+    return GeneratorSet(
+        b,
+        tuple(
+            tuple(Fraction(x, v[b]) if x else zero for x in v[:b]) for _, v in vertices
+        ),
+    )
+
+
+def _adjacent(common: int, masks: list[int]) -> bool:
+    """Whether only the pair itself, of all the rays, vanishes on ``common``."""
+    holders = 0
+    for zeros in masks:
+        if zeros & common == common:
+            holders += 1
+            if holders > 2:
+                return False
+    return True
+
+
+def face_walk_generators(sys: MartingaleSystem) -> GeneratorSet:
+    """Oracle: the generators by a staged walk over simplex faces.
 
     Stage k inspects the faces spanned by k outcomes whose entire boundary
     was recorded as missing A in stage k-1; an intersecting face contributes
@@ -171,14 +285,10 @@ def enumerate_generators(
       pivots: a vertex's support columns are linearly independent, so no
       wider face can carry one.
 
-    The face scan is exponential in b, so ``max_outcomes`` turns a silent
-    blow-up into an explicit LimitExceededError.
+    It lists the generators in the order ``enumerate_generators`` does, and
+    pays for every face it inspects, so it is a cross-check, not the path.
     """
     b = sys.outcomes
-    if b > max_outcomes:
-        raise LimitExceededError(
-            f"{b} outcomes exceeds the face-enumeration guard of {max_outcomes}"
-        )
     pivots = sys.reduced[1]
     if pivots[-1] == b:
         return GeneratorSet(b, ())

@@ -179,6 +179,22 @@ def test_default_completion_prices_read_the_witness(monkeypatch):
     assert len(plan.prices) == 2
 
 
+def test_explicit_weights_mix_the_generators_once(monkeypatch):
+    calls = []
+    real_mixture = analysis.mixture
+
+    def counting_mixture(*args):
+        calls.append(args)
+        return real_mixture(*args)
+
+    monkeypatch.setattr(analysis, "mixture", counting_mixture)
+    mkt = make_market(0, [1], [[2, 0, 0, 0]])
+    plan = complete_market(mkt, weights=["1/3", "1/3", "1/3"])
+    assert len(calls) == 1
+    blended = real_mixture(plan.characterization.generators, plan.weights)
+    assert plan.prices == tuple(blended[i] for i in plan.characterization.completing_outcomes)
+
+
 def test_completion_requires_viability():
     with pytest.raises(NotViableError):
         complete_market(NO_MEASURES)

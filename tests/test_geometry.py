@@ -18,6 +18,7 @@ from martpoly import (
     convex_hull_member,
     enumerate_generators,
     face_intersection,
+    face_walk_generators,
     geometry,
     rank,
     solve,
@@ -300,7 +301,7 @@ def test_face_intersection_matches_fraction_classification(sys):
 
 
 def recorded_face_widths(monkeypatch) -> list[int]:
-    """Width of every face the walk hands to ``face_intersection``."""
+    """Width of every face ``face_walk_generators`` hands to ``face_intersection``."""
     widths: list[int] = []
     real = geometry.face_intersection
 
@@ -327,8 +328,9 @@ def test_walk_stops_at_augmented_rank_with_a_bond_row(monkeypatch):
         rhs = [sum(x * p for x, p in zip(row, q)) for row in rows]
         sys = system_from_rows(rows, rhs, outcomes=b)
         widths.clear()
-        assert enumerate_generators(sys) == brute_force_generators(sys)
+        assert face_walk_generators(sys) == brute_force_generators(sys)
         assert max(widths) <= rank(augmented_matrix(sys))
+        assert enumerate_generators(sys) == brute_force_generators(sys)
 
 
 def test_inconsistent_mass_one_system_walks_no_face(monkeypatch):
@@ -336,5 +338,66 @@ def test_inconsistent_mass_one_system_walks_no_face(monkeypatch):
     widths = recorded_face_widths(monkeypatch)
     sys = system_from_rows([[1, 1]], [2])
     assert solve(sys.matrix, sys.rhs).is_consistent
-    assert len(enumerate_generators(sys)) == 0
+    assert len(face_walk_generators(sys)) == 0
     assert widths == []
+    assert enumerate_generators(sys) == brute_force_generators(sys)
+
+
+@st.composite
+def degenerate_systems(draw, max_b):
+    """Integer systems with repeated columns, combined rows and bond rows.
+
+    A sparse row q_i = k q_j can make two nonnegativity constraints one
+    facet, or pin an outcome's mass to 0, so the polytope has vertices on more
+    facets than its dimension: there, adjacent rays share more zeros than
+    d - 2 and a shared-zero count alone admits non-adjacent pairs. The rhs
+    is a convex combination of the columns half the time, so the polytope
+    is often nonempty, and arbitrary (often infeasible) otherwise.
+    """
+    b = draw(st.integers(1, max_b))
+    n = draw(st.integers(0, 4))
+    entry = st.integers(-5, 5)
+    cols = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(b)]
+    for j in range(1, b):
+        if draw(st.integers(0, 3)) == 0:
+            cols[j] = cols[draw(st.integers(0, j - 1))]
+    rows = [[cols[j][i] for j in range(b)] for i in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        f, g = draw(entry), draw(entry)
+        rows[-1] = [f * x + g * y for x, y in zip(rows[0], rows[1])]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [draw(st.integers(-3, 3))] * b)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 3), min_size=b, max_size=b))
+        total = sum(weights) or 1
+        rhs = [Fraction(sum(w * x for w, x in zip(weights, row)), total) for row in rows]
+    else:
+        rhs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+    if b >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(b)))[:2]
+        tie = [0] * b
+        tie[i], tie[j] = 1, -draw(st.integers(0, 2))
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, tie)
+        rhs.insert(at, 0)
+    return system_from_rows(rows, rhs, outcomes=b)
+
+
+def test_pinned_outcome_needs_the_full_adjacency_test():
+    # q3 = 0 puts every ray on that constraint, so two rays can share d - 2
+    # zeros without being adjacent; combining them would add a non-vertex
+    sys = system_from_rows([[1, -2, 2, 3, -1], [0, 0, 0, 1, 0]], ["1/6", 0])
+    assert enumerate_generators(sys) == brute_force_generators(sys)
+    assert enumerate_generators(sys) == face_walk_generators(sys)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(degenerate_systems(max_b=8))
+def test_double_description_matches_brute_force(sys):
+    assert enumerate_generators(sys).as_set() == brute_force_generators(sys).as_set()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(degenerate_systems(max_b=12))
+def test_double_description_lists_the_face_walk_order(sys):
+    assert enumerate_generators(sys) == face_walk_generators(sys)

@@ -8,6 +8,7 @@ benchmark run. The tracer is loaded from its file and never modified.
 import importlib
 import importlib.util
 import io
+import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -36,17 +37,18 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_traced_generators_op_records_face_spans():
+def test_traced_generators_op_counts_one_enumeration():
     tracer = load_tracing().Tracer()
     tracer.install()
+    out = io.StringIO()
     try:
         tracer.begin(0)
-        with redirect_stdout(io.StringIO()):
+        with redirect_stdout(out):
             code = main(["generators", str(ROOT / "demos/data/incomplete_market.json"), "--json"])
         tracer.end()
     finally:
         tracer.uninstall()
     assert code == 0
-    calls = tracer.totals()[0][0]
-    assert calls["geometry.face_intersection"] > 0
-    assert calls["geometry.enumerate_generators"] == 1
+    assert len(json.loads(out.getvalue())["generators"]) == 3
+    assert tracer.totals()[0][0]["geometry.enumerate_generators"] == 1
+    assert tracer.counts[0]["geometry.generators"] == 3
