@@ -3,9 +3,10 @@
 Commands: analyze, generators, bounds, complete, tree analyze, tree complete,
 kkl. Input documents carry every number as a rational string and so do the
 reports, in both the human-readable default and the --json mode. Exit codes:
-0 analysis ran (whatever the verdict), 2 malformed input, 3 enumeration limit
-exceeded, 4 operation required a viable market, 5 perturbation retries
-exhausted.
+0 analysis ran (whatever the verdict), 2 malformed input, 3 a size guard
+refused the work (outcomes, lattice grid, lattice value size) or a value was
+too long to print, 4 operation required a viable market, 5 perturbation
+retries exhausted.
 """
 
 from __future__ import annotations
@@ -351,6 +352,9 @@ def cmd_kkl(args: argparse.Namespace) -> int:
     emm_p = parse_rational(args.emm_p)
     if not 0 < emm_p < 1:
         raise InputError(f"--emm-p must lie strictly in (0, 1), got {quoted(args.emm_p)}")
+    eps = None if args.epsilon is None else parse_rational(args.epsilon)
+    if eps is not None and eps <= 0:
+        raise InputError(f"--epsilon must be positive, got {quoted(args.epsilon)}")
     params = models.kkl_params(
         s0=args.s0,
         lam=parse_rational(args.lam),
@@ -359,7 +363,6 @@ def cmd_kkl(args: argparse.Namespace) -> int:
         horizon=parse_rational(args.horizon),
         steps=args.steps,
     )
-    eps = None if args.epsilon is None else parse_rational(args.epsilon)
     viable = models.kkl_viability(params)
     if eps is not None and not viable:
         raise NotViableError("no surface to perturb: the lattice is not viable")

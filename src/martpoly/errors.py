@@ -10,7 +10,11 @@ class InputError(MartpolyError):
 
 
 class LimitExceededError(MartpolyError):
-    """A size guard (faces, lattice grid, tree nodes) or a value too long to print."""
+    """A size guard refused the work, or a value was too long to print.
+
+    The guards bound outcomes, lattice grid states, lattice value size and
+    event-tree nodes.
+    """
 
 
 class NotViableError(MartpolyError):

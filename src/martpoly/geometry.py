@@ -29,7 +29,7 @@ from math import gcd, lcm
 
 from .errors import InputError, InternalContractError, LimitExceededError
 from .market import MartingaleSystem, augmented_matrix
-from .rationals import Matrix, SolutionSpace, Vector, eliminate, solve
+from .rationals import Matrix, SolutionSpace, Vector, solve
 
 Face = tuple[int, ...]
 
@@ -101,14 +101,12 @@ def _embed(face: Face, coords: Sequence[Fraction], outcomes: int) -> Vector:
 def face_intersection(sys: MartingaleSystem, face: Iterable[int]) -> Vector | None:
     """Point where one simplex face meets the affine solution space, if any.
 
-    The face's columns and the rhs of ``sys.reduced``'s rows are its
-    restricted system (mass one on the face, and the asset rows), and the
-    fraction-free ``eliminate`` decides it in integers: coordinate i of the
-    solution is ``rows[i][k] / rows[i][i]`` and its sign is the sign of
-    their product. Fractions are built only for a hit.
+    The face's restricted system (mass one on the face, and the asset rows)
+    is classified by ``_face_solution``, the same exact solve that
+    ``brute_force_generators`` runs on every subset.
 
     Intended for faces none of whose proper subfaces meets A (the invariant
-    the staged enumeration maintains). Under that precondition:
+    the staged walk maintains). Under that precondition:
 
     * an inconsistent restricted system means the face misses A entirely;
     * a unique solution that is strictly positive is the intersection point,
@@ -125,18 +123,11 @@ def face_intersection(sys: MartingaleSystem, face: Iterable[int]) -> Vector | No
       through caller misuse or an enumeration bug.
     """
     idx = _normalize_face(face, sys.outcomes)
-    k = len(idx)
-    rhs = sys.outcomes
-    rows = [[row[j] for j in idx] + [row[rhs]] for row in sys.reduced[0]]
-    pivots = eliminate(rows, k + 1)
-    # unique exactly when the pivots are the k face columns, none on the rhs
-    if len(pivots) != k or pivots[-1] != k - 1:
+    space = _face_solution(sys, idx)
+    coords = space.particular
+    if space.kind != "unique" or any(x < 0 for x in coords):
         return None
-    signs = [rows[i][k] * rows[i][i] for i in range(k)]
-    if any(s < 0 for s in signs):
-        return None
-    coords = tuple(Fraction(rows[i][k], rows[i][i]) for i in range(k))
-    if all(s > 0 for s in signs):
+    if all(x > 0 for x in coords):
         return _embed(idx, coords, sys.outcomes)
     raise InternalContractError(
         f"face {idx}: solution {coords} sits on a proper subface; "
@@ -171,7 +162,7 @@ def enumerate_generators(
     x = rhs t}, scaled to t = 1; its equations are the rows of
     ``sys.reduced``, so nothing is eliminated again. A pivot in the rhs
     column means the system is inconsistent and the result is empty.
-    Otherwise each row's pivot is its last nonzero outcome column, and the
+    Otherwise row i solves for its pivot coordinate ``pivots[i]``, and the
     other d = b + 1 - rank [1; matrix] coordinates, t among them,
     parametrise the cone's linear hull. Their d unit vectors span the
     starting cone, where only the free coordinates are nonnegative.
@@ -200,31 +191,24 @@ def enumerate_generators(
     rows, pivots = sys.reduced
     if pivots[-1] == b:
         return GeneratorSet(b, ())
-    # row i reads a * x_p + sum over free j of coef[j] * x_j = 0, t = x_b
-    equations = []
-    for row in rows:
-        p = max(j for j in range(b) if row[j])
-        coef = {j: x for j, x in enumerate(row[:b]) if x and j != p}
-        if row[b]:
-            coef[b] = -row[b]
-        equations.append((p, row[p], coef))
-    bound = {p for p, _, _ in equations}
-    free = [j for j in range(b + 1) if j not in bound]
-    scale = lcm(*(a for _, a, _ in equations))
+    # row i reads sum over j of row[j] * x_j = row[b] * t, with t = x_b, and
+    # its pivot p = pivots[i] is the one pivot coordinate it holds
+    free = [j for j in range(b + 1) if j not in pivots]
+    scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
     # start cone: ray k is free coordinate k at ``scale``, the others at 0,
-    # with the pivot coordinates solved from the equations
+    # with the pivot coordinates solved from the rows
     rays: list[tuple[list[int], int]] = []
     free_mask = sum(1 << j for j in free)
     for k in free:
         v = [0] * (b + 1)
         v[k] = scale
-        for p, a, coef in equations:
-            v[p] = -coef.get(k, 0) * (scale // a)
+        for row, p in zip(rows, pivots):
+            v[p] = (row[b] if k == b else -row[k]) * (scale // row[p])
         g = gcd(*v)
         rays.append(([x // g for x in v], free_mask & ~(1 << k)))
 
     least_common = len(free) - 2
-    for p in sorted(bound):
+    for p in pivots:
         bit = 1 << p
         positive, negative, kept = [], [], []
         for v, zeros in rays:
@@ -315,33 +299,26 @@ def brute_force_generators(sys: MartingaleSystem) -> GeneratorSet:
 
     A subset contributes exactly when its restricted system has a unique
     solution that is strictly positive; that point is a vertex, and every
-    vertex shows up at the subset equal to its support. Exponential in b by
-    construction; meant for cross-checking at small sizes.
+    vertex shows up once, at the subset equal to its support. Exponential in
+    b by construction; meant for cross-checking at small sizes.
     """
     b = sys.outcomes
     found: list[Vector] = []
-    seen: set[Vector] = set()
     for size in range(1, b + 1):
         for face in combinations(range(b), size):
             space = _face_solution(sys, face)
-            if space.kind != "unique":
-                continue
-            coords = space.particular
-            assert coords is not None
-            if all(x > 0 for x in coords):
-                point = _embed(face, coords, b)
-                if point not in seen:
-                    seen.add(point)
-                    found.append(point)
+            if space.kind == "unique" and all(x > 0 for x in space.particular):
+                found.append(_embed(face, space.particular, b))
     return GeneratorSet(b, tuple(found))
 
 
 def convex_hull_member(point: Sequence[Fraction], vectors: Sequence[Vector]) -> bool:
     """Exact membership of a point in the convex hull of finitely many vectors.
 
-    Decided by vertex-searching the weight polytope {w in simplex : V w = p},
-    which is nonempty exactly when it has a vertex. Desk-scale only: the
-    search is exponential in the number of hull vectors.
+    Decided by ``enumerate_generators`` on the weight polytope
+    {w in simplex : V w = p}, which is nonempty exactly when it has a
+    vertex. Its outcome guard is the number of hull vectors, so none is
+    refused; the cost follows the double description's rays.
     """
     if not vectors:
         return False
@@ -353,4 +330,4 @@ def convex_hull_member(point: Sequence[Fraction], vectors: Sequence[Vector]) -> 
         tuple(tuple(v[i] for v in vectors) for i in range(length)), len(vectors)
     )
     weights = MartingaleSystem(columns, tuple(point))
-    return len(brute_force_generators(weights)) > 0
+    return len(enumerate_generators(weights, max_outcomes=len(vectors))) > 0

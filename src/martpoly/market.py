@@ -2,9 +2,8 @@
 
 A market with b outcomes, n risky assets, and a riskless rate r induces the
 linear system ``payoffs @ q == (1 + r) * spot`` whose solutions inside the
-standard simplex are exactly the martingale measures. Each system is reduced
-once (``MartingaleSystem.reduced``), and every rank fact and every face of
-the measure polytope is read from that reduction.
+standard simplex are exactly the martingale measures. One reduction of each
+system (``MartingaleSystem.reduced``) yields its rank facts and its vertices.
 """
 
 from __future__ import annotations
@@ -140,8 +139,8 @@ class MartingaleSystem:
 
         The rows [1 ... 1 | 1] and [matrix_i | rhs_i], scaled to integers,
         go through one ``eliminate`` with the outcome columns last to first
-        and the rhs last, and come back in column order. They span the same
-        equations, so a face's columns and the rhs are that face's system.
+        and the rhs last, and come back in column order, one row per pivot:
+        row i is nonzero at ``pivots[i]``, 0 at later outcomes and other pivots.
         The pivots are ascending outcome indices, rank [1; matrix] of them,
         then ``outcomes`` when the rhs holds one (no solution). The other
         outcomes are those whose unit payoffs, added smallest first, raise
@@ -152,8 +151,8 @@ class MartingaleSystem:
             integer_row(row[::-1] + (c,)) for row, c in zip(self.matrix.entries, self.rhs)
         ]
         pivots = eliminate(rows, b + 1)
-        kept = tuple(tuple(row[:b][::-1] + row[b:]) for row in rows[: len(pivots)])
-        return kept, tuple(sorted(b - 1 - p if p < b else b for p in pivots))
+        order = sorted(zip((b - 1 - p if p < b else b for p in pivots), rows))
+        return tuple(tuple(r[:b][::-1] + r[b:]) for _, r in order), tuple(p for p, _ in order)
 
 
 def build_system(mkt: OnePeriodMarket) -> MartingaleSystem:

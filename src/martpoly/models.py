@@ -23,6 +23,7 @@ reduced to Fractions only when they are read.
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -367,6 +368,16 @@ def kkl_viability(params: KklParams) -> bool:
 EmmParameter = Union[RationalLike, Callable[[int, int], RationalLike]]
 
 
+def _max_scale_bits() -> int:
+    """Twice the bit length of the largest integer ``str`` prints; 0 when unlimited.
+
+    The put's root, reduced, keeps well over half the bits of its scale, so
+    past this bound it is too long to print.
+    """
+    digits = sys.get_int_max_str_digits()
+    return 2 * (10**digits - 1).bit_length() if digits else 0
+
+
 class LatticeValues(Mapping[tuple[int, int], Fraction]):
     """Read-only surface values keyed by (step, state), reduced on read.
 
@@ -464,6 +475,13 @@ def kkl_backward_induction(
     module docstring), and the completion check that ``kkl_completion_check``
     reports is decided in the same pass; no Fraction arithmetic runs per
     node. The surface's values are reduced to Fractions only when read.
+
+    Unless every terminal value is 0, a D^steps with more bits than
+    ``_max_scale_bits`` raises ``LimitExceededError`` before the first
+    layer. Every layer carries that factor, whatever its values reduce to,
+    and the root's reduced denominator keeps most of it. The terminal's own
+    scale T is the caller's input and is left out, so a perturbed terminal
+    is refused exactly when the unperturbed one is.
     """
     if not kkl_viability(params):
         raise NotViableError(
@@ -510,6 +528,14 @@ def kkl_backward_induction(
     ]
     absorbed = discount.numerator * (denominator // discount.denominator)
     terminal_scale = lcm(*(v.denominator for v in top))
+    limit = _max_scale_bits()
+    if limit and any(top):
+        bits = (denominator**steps).bit_length()
+        if bits > limit:
+            raise LimitExceededError(
+                f"lattice values over {steps} steps need a {bits}-bit scale, over the "
+                f"limit of {limit} bits past which their root is too long to print"
+            )
 
     layers: list[list[int]] = [[]] * (steps + 1)
     scales: list[int] = [0] * (steps + 1)

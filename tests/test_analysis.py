@@ -425,8 +425,8 @@ def test_completing_outcomes_match_greedy_on_random_markets(seed):
 
 
 def test_characterize_eliminates_the_system_once_outside_the_face_walk(monkeypatch):
-    # every face is reduced on its own; the system itself is reduced once, for
-    # the walk's bounds and the completion alike
+    # the system is reduced once, for the enumeration and the completion
+    # alike; a face, if any were inspected, would be reduced on its own
     inside_faces = []
     real_face = geometry.face_intersection
 

@@ -395,6 +395,8 @@ KKL_SMALL = ["kkl", "--s0", "1", "--lambda", "1/8", "--eta", "1/8", "--steps", "
         (["--emm-p", "5", "--rate", "10"], "--emm-p"),  # on a non-viable lattice
         (["--emm-p", "0", "--rate", "10"], "--emm-p"),
         (["--emm-p", "1"], "--emm-p"),
+        (["--epsilon", "0"], "--epsilon"),
+        (["--epsilon=-1/100"], "--epsilon"),
     ],
 )
 def test_kkl_refuses_flags_it_would_ignore(extra, flag, monkeypatch, capsys):
@@ -406,6 +408,22 @@ def test_kkl_refuses_flags_it_would_ignore(extra, flag, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} ")
+
+
+def test_kkl_refuses_values_too_long_to_print_before_pricing(capsys):
+    code = main(
+        [
+            "kkl", "--s0", "1", "--lambda", "1/64", "--eta", "1/64", "--steps", "40",
+            "--rate", "1e-4000", "--json",
+        ]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: lattice values over 40 steps need a 531802-bit scale, over the limit "
+        "of 28570 bits past which their root is too long to print\n"
+    )
 
 
 def test_kkl_valid_seed_and_emm_p_are_unchanged(capsys):

@@ -1,6 +1,7 @@
 """Generator enumeration: worked systems, the oracle, and its invariants."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from martpoly import (
     InputError,
     InternalContractError,
     LimitExceededError,
+    MartingaleSystem,
     Matrix,
     augmented_matrix,
     brute_force_generators,
@@ -226,6 +228,53 @@ def test_convex_hull_member_basics():
     assert convex_hull_member(V("1/2", "1/2"), [V(1, 0), V(0, 1)])
     assert not convex_hull_member(V(2, -1), [V(1, 0), V(0, 1)])
     assert not convex_hull_member(V(1, 0), [])
+
+
+@st.composite
+def hull_cases(draw):
+    """A point and up to 10 hull vectors; half the time a mixture of them."""
+    length = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 10))
+    entry = st.integers(-3, 3).map(Fraction)
+    vectors = [tuple(draw(st.lists(entry, min_size=length, max_size=length)))]
+    for _ in range(count - 1):
+        if draw(st.integers(0, 3)) == 0:
+            vectors.append(draw(st.sampled_from(vectors)))
+        else:
+            vectors.append(tuple(draw(st.lists(entry, min_size=length, max_size=length))))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+        total = sum(weights) or 1
+        point = tuple(
+            sum((w * v[i] for w, v in zip(weights, vectors)), Fraction(0)) / total
+            for i in range(length)
+        )
+    else:
+        point = tuple(draw(st.lists(entry, min_size=length, max_size=length)))
+    return point, vectors
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hull_cases())
+def test_convex_hull_member_matches_the_brute_force_oracle(case):
+    point, vectors = case
+    columns = Matrix(
+        tuple(tuple(v[i] for v in vectors) for i in range(len(point))), len(vectors)
+    )
+    weights = MartingaleSystem(columns, point)
+    assert convex_hull_member(point, vectors) == (len(brute_force_generators(weights)) > 0)
+
+
+def test_convex_hull_member_decides_twenty_vectors_quickly():
+    # the brute-force oracle would solve 2**20 - 1 subsets here
+    rng = random.Random(20)
+    vectors = [tuple(Fraction(rng.randint(-9, 9)) for _ in range(4)) for _ in range(20)]
+    inside = tuple(sum(col, Fraction(0)) / 20 for col in zip(*vectors))
+    outside = (Fraction(10),) + inside[1:]
+    start = time.perf_counter()
+    assert convex_hull_member(inside, vectors)
+    assert not convex_hull_member(outside, vectors)
+    assert time.perf_counter() - start < 1
 
 
 def fraction_face_point(sys, face):

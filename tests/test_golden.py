@@ -4,11 +4,13 @@ The digests are SHA-256 of the ``--json`` stdout recorded before the
 one-period analysis was folded into a single record; a refactor that keeps
 the library's behaviour keeps every digest. The ``kkl`` digests pin both the
 ``--json`` stdout and the ``--out`` CSV bytes; they were recorded while the
-lattice was still priced by a Fraction recursion.
+lattice was still priced by a Fraction recursion. Each command also runs
+without ``--json``, against a digest of its human-readable stdout.
 """
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -46,19 +48,56 @@ GOLDEN = {
         "4dccf05e74181dcc9afad6f25655fb201294bfa6417560c02985d298e425d9f4",
 }
 
+# the same commands without --json: SHA-256 of the human-readable stdout,
+# recorded at commit 8cefb9b
+HUMAN_GOLDEN = {
+    "analyze demos/data/incomplete_market.json":
+        "068d648cbed4609c0adef90044f0b4229e80667f308408ee4465daa807881ba5",
+    "analyze demos/data/trinomial_market.json":
+        "25e2c5c9fa0ab8b31c3f8a9036ff14d10e4cb806c9ed4bea83338739c8d35b65",
+    "bounds demos/data/trinomial_market.json --payoff=1,0,0":
+        "85632b3b60952c45869d8e50a9f280c4afddd532e29a03529392a8a5317e8fd8",
+    "complete demos/data/incomplete_market.json":
+        "99ec34222d937b0da76e8dcab34bf912542f84519c334f79456b79bf40432375",
+    "complete demos/data/trinomial_market.json":
+        "a1cb687a5514bea151a8d38861b40bb5c383fe46d255065235e224d1bb28f3d4",
+    "generators demos/data/incomplete_market.json":
+        "129207d4288ba5f7101ea7355914a54d59eb2cdbad9824d96797f5fb07e7f54a",
+    "generators demos/data/trinomial_market.json":
+        "5deb5f769d16ef382b89fbe98bc5b798f3166694fc241f4612cc5801cfc2a7fc",
+    "tree analyze demos/data/binomial_tree.json":
+        "c89612d90d60bd9e53248b4e6d52d7bfadd3bf27cdb54157a4e75999b59b778e",
+    "tree analyze demos/data/trinomial_tree.json":
+        "c2c7b97d3eaf330f249d06e624f3313ecb90a92bc3f99ceabf2522e2bd51452a",
+    "tree complete demos/data/binomial_tree.json":
+        "42fd03237b656a889fb021908f45b96555d40f5a066f8ddf3e56047409bb07ce",
+    "tree complete demos/data/trinomial_tree.json":
+        "aca972778f31e9615633d9c49b978f725ea21117c56872b935fc049ea47d429c",
+}
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_json_output_digest(command, monkeypatch):
+
+def with_modes(table):
+    """Each key in both output modes; the --json case keeps the key as its id."""
+    return [
+        pytest.param(key, json_mode, id=key if json_mode else f"{key} (human)")
+        for key in sorted(table)
+        for json_mode in (True, False)
+    ]
+
+
+@pytest.mark.parametrize("command,json_mode", with_modes(GOLDEN))
+def test_json_output_digest(command, json_mode, monkeypatch):
     monkeypatch.chdir(ROOT)
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(command.split() + ["--json"])
+        code = main(command.split() + (["--json"] if json_mode else []))
     assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[command]
+    expected = (GOLDEN if json_mode else HUMAN_GOLDEN)[command]
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == expected
 
 
-# kkl options -> (stdout digest, surface CSV digest). The CSV path is relative,
-# so the path echoed in the report is the same in every run.
+# kkl options -> (--json stdout digest, surface CSV digest). The CSV path is
+# relative, so the path echoed in the report is the same in every run.
 KKL_GOLDEN = {
     # the README example
     "--s0 2 --lambda 1/8 --eta 1/8 --rate 1/10 --horizon 1 --steps 4 "
@@ -78,14 +117,31 @@ KKL_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("options", sorted(KKL_GOLDEN))
-def test_kkl_output_digest(options, tmp_path, monkeypatch):
+# the same options without --json: SHA-256 of the human-readable stdout,
+# recorded at commit 8cefb9b; the CSV bytes are the same in both modes
+KKL_HUMAN_GOLDEN = {
+    "--s0 2 --lambda 1/8 --eta 1/8 --rate 1/10 --horizon 1 --steps 4 "
+    "--emm-p 1/2 --epsilon 1/100 --seed 7":
+        "741a2b6caf180e4c67dcd4a2fe990e74490b1d44ca5858f544fafb7e3afe6c28",
+    "--s0 3 --lambda 1/16 --eta 3/32 --rate=-1/5 --steps 8 --emm-p 3/8":
+        "71232f62e80386ef2a78aa3e1e5a873f79e0072048318c76c488d0258a9a2cc1",
+    "--s0 2 --lambda 1/64 --eta 1/64 --rate 1/20 --steps 30 "
+    "--epsilon 1/1000 --seed 3":
+        "7222e016e2c3999d8b06fe23a7a45109c3fd94c3182b57889263ef14cb3828d1",
+}
+
+
+@pytest.mark.parametrize("options,json_mode", with_modes(KKL_GOLDEN))
+def test_kkl_output_digest(options, json_mode, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(["kkl", *options.split(), "--out", "surface.csv", "--json"])
+        code = main(
+            ["kkl", *options.split(), "--out", "surface.csv"] + (["--json"] if json_mode else [])
+        )
     assert code == 0
-    stdout_digest, csv_digest = KKL_GOLDEN[options]
+    json_digest, csv_digest = KKL_GOLDEN[options]
+    stdout_digest = json_digest if json_mode else KKL_HUMAN_GOLDEN[options]
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == stdout_digest
     csv_bytes = (tmp_path / "surface.csv").read_bytes()
     assert hashlib.sha256(csv_bytes).hexdigest() == csv_digest
@@ -110,14 +166,48 @@ def test_complete_apply_file_digest(market, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == APPLY_GOLDEN[market]
 
 
-@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
-def test_demo_runs(script):
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh process, at the repo root, with ``src`` importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(script):
+    done = run_python(str(ROOT / "demos" / script))
     assert done.returncode == 0, done.stderr
+
+
+NOT_VIABLE_DOC = {
+    "rate": "0",
+    "spot": ["15", "123"],
+    "payoffs": [["18", "-6", "-6", "75"], ["99", "-33", "-33", "291"]],
+}
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["analyze", "demos/data/incomplete_market.json", "--json"], 0),
+        (["analyze", "demos/data/no_such_market.json"], 2),
+        (["analyze", "demos/data/incomplete_market.json", "--max-outcomes", "1"], 3),
+        (["bounds", "{not_viable}", "--payoff=1,0,0,0"], 4),
+    ],
+    ids=["ok", "input", "limit", "not-viable"],
+)
+def test_cli_process_exit_codes(args, code, tmp_path):
+    market = tmp_path / "not_viable.json"
+    market.write_text(json.dumps(NOT_VIABLE_DOC))
+    done = run_python("-m", "martpoly.cli", *(a.format(not_viable=market) for a in args))
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+        assert digest == GOLDEN["analyze demos/data/incomplete_market.json"]
+    else:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:")

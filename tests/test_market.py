@@ -269,3 +269,9 @@ def test_reduction_matches_fraction_gauss_jordan(sys):
     assert pivots == tuple(outcome_pivots) + ((b,) if b in flipped.pivots else ())
     inconsistent = solve(augmented_matrix(sys), (Fraction(1),) + sys.rhs).kind == "inconsistent"
     assert (b in pivots) == inconsistent
+    if not inconsistent:
+        # rows come in pivot order: row i's last nonzero outcome is pivots[i],
+        # and it is 0 in every other pivot column
+        for i, (row, p) in enumerate(zip(rows, pivots)):
+            assert max(j for j in range(b) if row[j]) == p
+            assert all(row[q] == 0 for k, q in enumerate(pivots) if k != i)

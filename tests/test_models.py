@@ -1,6 +1,8 @@
 """Factor-model closed forms and the birth-death lattice."""
 
 import random
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -515,6 +517,100 @@ def test_kkl_grid_limit_is_inclusive(monkeypatch):
 def test_kkl_grid_limit_admits_the_reference_lattice():
     # the 200-step lattice that benchmarks/run.py --reference prices
     assert kkl_grid_size(2, 200) <= models.MAX_GRID_STATES
+
+
+def put_scale_bits(params, emm_p=Fraction(1, 2)) -> int:
+    """Bits of D^steps for the put on ``params``, read from the guard's message."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(models, "_max_scale_bits", lambda: 1)
+        with pytest.raises(LimitExceededError) as exc:
+            kkl_backward_induction(params, put_terminal(params), emm_p)
+    return int(re.search(r"a (\d+)-bit scale", str(exc.value))[1])
+
+
+def test_max_scale_bits_follow_the_interpreter_limit(monkeypatch):
+    # 999, the largest 3-digit integer, has 10 bits
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3)
+    assert models._max_scale_bits() == 20
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    assert models._max_scale_bits() == 2 * 14285
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert models._max_scale_bits() == 0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(0, 40),
+    st.sampled_from(["1/10", "1/3", "-1/2", "2/3", "3/7000", "1e-30"]),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 5), Fraction(683, 729)]),
+)
+def test_put_root_keeps_over_half_the_bits_of_its_scale(s0, extra, rate, emm_p):
+    # why the guard allows twice the printable bits: past a few hundred bits
+    # the reduced root keeps most of its scale (small lattices can cancel
+    # more: from s0 = 1, 2 steps at rate -1/2 and measure 1/3 price the put at 1)
+    params = kkl_params(s0, "1/8192", "1/8192", rate, steps=s0 + extra)
+    if not kkl_viability(params):
+        return
+    scale_bits = put_scale_bits(params, emm_p)
+    if scale_bits < 200:
+        return
+    root = kkl_backward_induction(params, put_terminal(params), emm_p).value(0, s0)
+    assert 2 * root.denominator.bit_length() > scale_bits
+
+
+def test_kkl_value_size_guard_refuses_before_any_layer(monkeypatch):
+    def no_layer(*args):
+        raise AssertionError("a lattice layer was built before the guard")
+
+    # the layer loop is the induction's only use of enumerate
+    monkeypatch.setattr(models, "enumerate", no_layer, raising=False)
+    small = kkl_params(s0=1, lam="1/64", eta="1/64", steps=2)
+    with pytest.raises(AssertionError):
+        kkl_backward_induction(small, put_terminal(small))
+    params = kkl_params(s0=1, lam="1/64", eta="1/64", rate="1e-4000", steps=20)
+    limit = models._max_scale_bits()
+    with pytest.raises(
+        LimitExceededError,
+        match=rf"over 20 steps need a 265881-bit scale, over the limit of {limit} bits",
+    ):
+        kkl_backward_induction(params, put_terminal(params))
+    with pytest.raises(LimitExceededError):
+        kkl_perturb_terminal(params, "1/100", 0)
+
+
+def test_kkl_value_size_limit_is_inclusive(monkeypatch):
+    params = kkl_params(s0=2, lam="1/8", eta="1/8", rate="1/10", steps=4)
+    put = put_terminal(params)
+    expected = kkl_backward_induction(params, put).value(0, 2)
+    bits = put_scale_bits(params)
+    monkeypatch.setattr(models, "_max_scale_bits", lambda: bits)
+    assert kkl_backward_induction(params, put).value(0, 2) == expected
+    # a perturbed terminal's own denominators do not count against the limit
+    kkl_perturb_terminal(params, "1/100", 0)
+    monkeypatch.setattr(models, "_max_scale_bits", lambda: bits - 1)
+    with pytest.raises(LimitExceededError, match=f"a {bits}-bit scale"):
+        kkl_backward_induction(params, put)
+
+
+def test_kkl_value_size_guard_spares_a_zero_terminal():
+    # from s0 = 30, 20 steps never reach 0, so the put is 0 on every state
+    params = kkl_params(s0=30, lam="1/1024", eta="1/1024", rate="1e-4000", steps=20)
+    surface = kkl_backward_induction(params, put_terminal(params))
+    assert surface.value(0, 30) == 0 and surface.value(20, 50) == 0
+
+
+def test_kkl_value_size_guard_admits_the_reference_and_benchmark_lattices():
+    # the --reference lattice, and the widest grid from s0 = 1 at two rates
+    assert put_scale_bits(kkl_params(2, "1/8", "1/8", "1/10", steps=200)) == 2594
+    assert put_scale_bits(kkl_params(1, "1/8", "1/8", "1/10", steps=509)) == 7286
+    assert put_scale_bits(kkl_params(1, "1/8", "1/8", "7/1000", steps=509)) == 10668
+    # the benchmark's 100-step lattices, at their widest rate and measure
+    wide = kkl_params(3, "1/32", "1/32", "9/64", steps=100)
+    assert put_scale_bits(wide, Fraction(7, 8)) == 1665
+    # README's root too long to print is priced, and fails when it is printed
+    readme = kkl_params(2, "1/8", "1/8", "1e-30", steps=200)
+    assert put_scale_bits(readme) == 21861 <= models._max_scale_bits()
 
 
 # ---------------------------------------------------------------------------
