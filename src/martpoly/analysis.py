@@ -111,14 +111,16 @@ def characterize(
     vector of the current row space has its last nonzero entry at i, that
     is, when i is not a pivot of the system's reduction: those outcomes
     complete the market, which is complete when viable and there are none.
+    ``outcome_support`` is ``gens.supports`` transposed.
     """
     sys = build_system(mkt)
     gens = enumerate_generators(sys, max_outcomes=max_outcomes)
     b = mkt.outcomes
-    support = tuple(
-        tuple(j for j, g in enumerate(gens.generators) if g[i] > 0)
-        for i in range(b)
-    )
+    by_outcome: list[list[int]] = [[] for _ in range(b)]
+    for j, outcomes in enumerate(gens.supports):
+        for i in outcomes:
+            by_outcome[i].append(j)
+    support = tuple(map(tuple, by_outcome))
     emm_exists = all(support)
     pivots = sys.reduced[1]
     completing = tuple(i for i in range(b) if i not in pivots)
@@ -208,14 +210,15 @@ def bounds_from_values(
 
 
 def mixture(gens: GeneratorSet, weights: Sequence[Fraction]) -> Vector:
-    """Convex combination of the generators under the given weights."""
+    """Convex combination of the generators under the given weights.
+
+    Entry i is the ``dot`` of the weights with the generators' entries at i.
+    """
     if len(weights) != len(gens):
         raise InputError("one weight per generator required")
-    out = [Fraction(0)] * gens.outcomes
-    for w, g in zip(weights, gens.generators):
-        for i, x in enumerate(g):
-            out[i] += w * x
-    return tuple(out)
+    return tuple(
+        dot(weights, [g[i] for g in gens.generators]) for i in range(gens.outcomes)
+    )
 
 
 def validate_weights(

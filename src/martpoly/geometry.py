@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
@@ -60,11 +61,11 @@ class GeneratorSet:
     def __iter__(self):
         return iter(self.generators)
 
-    @property
+    @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
         """Per generator, the outcome indices carrying positive mass."""
         return tuple(
-            tuple(i for i, x in enumerate(g) if x > 0) for g in self.generators
+            tuple(i for i, x in enumerate(g) if x.numerator > 0) for g in self.generators
         )
 
     def as_set(self) -> frozenset[Vector]:

@@ -4,7 +4,9 @@ Values everywhere downstream (market systems, polytope vertices, lattice
 pricing) are canonical ``fractions.Fraction``s. Elimination itself runs
 fraction-free: each row is scaled once to integers by the lcm of its
 denominators, ``eliminate`` reduces the integer rows, and ``rref`` divides
-by the pivots only at the end. No floating point enters any decision path:
+by the pivots only at the end. ``dot`` and ``mean_vector`` likewise add
+integer numerators over the lcm of the terms' denominators and build one
+Fraction per result. No floating point enters any decision path:
 the verdicts rest on strict inequalities and exact ranks, and a tolerance
 would corrupt boundary cases such as measures sitting on a simplex face.
 """
@@ -123,18 +125,52 @@ def vectors(rows: Iterable[Iterable[RationalLike]]) -> tuple[Vector, ...]:
     return tuple(vector(row) for row in rows)
 
 
+def _common_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the terms n/d as one unreduced pair: (numerator, lcm of the d)."""
+    den = lcm(*[d for _, d in terms])
+    return sum([n * (den // d) for n, d in terms]), den
+
+
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """Exact dot product, summed over one common denominator.
+
+    Terms with a zero factor are skipped; the other entries must be Fractions
+    or ints, and any other number (a float, a Decimal) raises ``InputError``.
+    """
     if len(u) != len(v):
         raise InputError(f"dot product of lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    try:
+        terms = [
+            (a.numerator * b.numerator, a.denominator * b.denominator)
+            for a, b in zip(u, v)
+            if a and b
+        ]
+    except AttributeError:
+        raise InputError("dot product of values that are not Fractions or ints") from None
+    num, den = _common_sum(terms)
+    return Fraction(num, den)
 
 
 def mean_vector(vs: Sequence[Sequence[Fraction]]) -> Vector:
-    """Componentwise average of a nonempty family of equal-length vectors."""
+    """Componentwise average of a nonempty family of equal-length vectors.
+
+    The entries must be Fractions or ints; any other number (a float, a
+    Decimal) raises ``InputError``.
+    """
     if not vs:
         raise InputError("mean of an empty family of vectors")
-    k = Fraction(len(vs))
-    return tuple(sum(col, Fraction(0)) / k for col in zip(*vs))
+    width = len(vs[0])
+    for v in vs:
+        if len(v) != width:
+            raise InputError(f"mean of vectors of lengths {width} and {len(v)}")
+    out = []
+    for col in zip(*vs):
+        try:
+            num, den = _common_sum([(x.numerator, x.denominator) for x in col])
+        except AttributeError:
+            raise InputError("mean of values that are not Fractions or ints") from None
+        out.append(Fraction(num, den * len(vs)))
+    return tuple(out)
 
 
 def unit_vector(index: int, length: int) -> Vector:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martpoly import analysis, geometry, market, rationals
 from martpoly import (
@@ -14,6 +16,7 @@ from martpoly import (
     characterize,
     complete_market,
     enumerate_generators,
+    GeneratorSet,
     build_system,
     is_arbitrage_free,
     is_complete,
@@ -27,6 +30,8 @@ from martpoly import (
     verify_measure,
 )
 from martpoly.rationals import unit_vector
+from test_geometry import small_systems
+from test_rationals import SUMMANDS
 from util import random_market, random_viable_market
 
 
@@ -452,3 +457,42 @@ def test_characterize_eliminates_the_system_once_outside_the_face_walk(monkeypat
     char = characterize(EX3)
     assert len(char.generators) > 0 and char.completing_outcomes
     assert outside == [EX3.outcomes + 1]
+
+
+def fraction_mixture(gens, weights):
+    """``mixture`` as it was, one Fraction product and ``+=`` per entry: the oracle."""
+    if len(weights) != len(gens):
+        raise InputError("one weight per generator required")
+    out = [Fraction(0)] * gens.outcomes
+    for w, g in zip(weights, gens.generators):
+        for i, x in enumerate(g):
+            out[i] += w * x
+    return tuple(out)
+
+
+@st.composite
+def weighted_families(draw):
+    b = draw(st.integers(1, 8))
+    k = draw(st.integers(0, 10))
+    gens = draw(st.lists(st.lists(SUMMANDS, min_size=b, max_size=b), min_size=k, max_size=k))
+    weights = draw(st.lists(SUMMANDS, min_size=k, max_size=k))
+    return GeneratorSet(b, tuple(map(tuple, gens))), weights
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(weighted_families())
+def test_mixture_equals_fraction_by_fraction_sum(case):
+    gens, weights = case
+    got = mixture(gens, weights)
+    assert all(type(x) is Fraction for x in got)
+    assert got == fraction_mixture(gens, weights)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_systems())
+def test_outcome_support_transposes_the_generator_supports(sys):
+    char = characterize(market_from_system(sys.matrix, sys.rhs))
+    assert char.outcome_support == tuple(
+        tuple(j for j, g in enumerate(char.generators) if g[i] > 0)
+        for i in range(sys.outcomes)
+    )

@@ -327,6 +327,19 @@ def small_systems(draw):
     return system_from_rows(rows, rhs, outcomes=b)
 
 
+def positive_supports(gens):
+    """Per generator, the outcomes with ``x > 0``: the definition ``supports`` reads."""
+    return tuple(tuple(i for i, x in enumerate(g) if x > 0) for g in gens.generators)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_systems())
+def test_supports_are_the_positive_entries_and_computed_once(sys):
+    for gens in (enumerate_generators(sys), brute_force_generators(sys)):
+        assert gens.supports == positive_supports(gens)
+        assert gens.supports is gens.supports
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(small_systems())
 def test_face_intersection_matches_fraction_classification(sys):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from martpoly import (
     InputError,
     LimitExceededError,
     Matrix,
+    dot,
     format_rational,
+    mean_vector,
     parse_rational,
     rank,
     rat,
@@ -302,3 +305,70 @@ def test_solve_matches_fraction_gauss_jordan(m, data):
     for f, v in zip(free, space.basis):
         assert m.mul_vec(v) == zero
         assert [v[j] for j in free] == [int(j == f) for j in free]
+
+
+def fraction_dot(u, v):
+    """``dot`` as it was, one Fraction product and sum per term: the oracle."""
+    if len(u) != len(v):
+        raise InputError(f"dot product of lengths {len(u)} and {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def fraction_mean_vector(vs):
+    """``mean_vector`` as it was, summing each column Fraction by Fraction: the oracle."""
+    if not vs:
+        raise InputError("mean of an empty family of vectors")
+    k = Fraction(len(vs))
+    return tuple(sum(col, Fraction(0)) / k for col in zip(*vs))
+
+
+# zeros, negatives, plain ints, and denominators up to 10**30
+SUMMANDS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9),
+    ENTRIES,
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(*[st.lists(SUMMANDS, min_size=n, max_size=n)] * 2)
+))
+def test_dot_equals_fraction_by_fraction_sum(pair):
+    u, v = pair
+    got = dot(u, v)
+    assert type(got) is Fraction
+    assert got == fraction_dot(u, v)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.lists(st.lists(SUMMANDS, min_size=n, max_size=n), min_size=1, max_size=12)
+))
+def test_mean_vector_equals_fraction_by_fraction_mean(family):
+    got = mean_vector(family)
+    assert all(type(x) is Fraction for x in got)
+    assert got == fraction_mean_vector(family)
+
+
+def test_dot_and_mean_vector_keep_their_refusals():
+    with pytest.raises(InputError, match="^dot product of lengths 2 and 1$"):
+        dot((Fraction(1), Fraction(2)), (Fraction(1),))
+    with pytest.raises(InputError, match="^mean of an empty family of vectors$"):
+        mean_vector([])
+
+
+def test_dot_and_mean_vector_refuse_inexact_numbers():
+    with pytest.raises(InputError, match="^dot product of values that are not Fractions or ints$"):
+        dot((Fraction(1), 0.5), (Fraction(1), Fraction(2)))
+    with pytest.raises(InputError, match="^mean of values that are not Fractions or ints$"):
+        mean_vector([(Fraction(1),), (Decimal("0.5"),)])
+
+
+def test_mean_vector_refuses_a_ragged_family():
+    # zip(*vs) would stop at the shortest vector and drop the second column
+    with pytest.raises(InputError, match="^mean of vectors of lengths 2 and 1$"):
+        mean_vector([(Fraction(1), Fraction(2)), (Fraction(1),)])
+    with pytest.raises(InputError, match="^mean of vectors of lengths 1 and 3$"):
+        mean_vector([(Fraction(1),), (Fraction(1),), (Fraction(1), Fraction(2), Fraction(3))])
