@@ -57,6 +57,7 @@ from .models import (
     DerivativeSurface,
     FactorModel,
     KklParams,
+    NodeWeights,
     PerturbationResult,
     TrinomialEmmFamily,
     factor_completeness,
@@ -67,6 +68,7 @@ from .models import (
     kkl_component_market,
     kkl_grid,
     kkl_node_emm,
+    kkl_node_weights,
     kkl_params,
     kkl_perturb_terminal,
     kkl_transition,

@@ -179,20 +179,24 @@ def price_bounds(
     char = characterize(mkt, max_outcomes=max_outcomes)
     if not char.emm_exists:
         raise NotViableError("price bounds are undefined without an equivalent measure")
-    discount = 1 + mkt.rate
-    values = [dot(c, g) / discount for g in char.generators]
-    return bounds_from_values(values, char.generators.supports, mkt.outcomes)
+    values = [dot(c, g) for g in char.generators]
+    return bounds_from_values(values, char.generators.supports, mkt.outcomes, 1 + mkt.rate)
 
 
 def bounds_from_values(
-    values: Sequence[Fraction], supports: Sequence[Iterable[int]], outcomes: int
+    values: Sequence[Fraction],
+    supports: Sequence[Iterable[int]],
+    outcomes: int,
+    discount: Fraction,
 ) -> PriceBounds:
-    """Price bounds from each generator's value and positive-mass outcomes.
+    """Price bounds from each generator's undiscounted value and positive-mass outcomes.
 
-    An endpoint is attained by an equivalent measure exactly when the
-    generators taking that value jointly cover all ``outcomes``.
+    Only the two extreme values are divided by ``discount``; a negative one
+    (a rate below -1) swaps them. An endpoint is attained by an equivalent
+    measure exactly when the generators taking that value jointly cover all
+    ``outcomes``.
     """
-    low, high = min(values), max(values)
+    least, most = min(values), max(values)
 
     def attained(target: Fraction) -> bool:
         covered: set[int] = set()
@@ -201,11 +205,13 @@ def bounds_from_values(
                 covered.update(support)
         return len(covered) == outcomes
 
+    if discount < 0:
+        least, most = most, least
     return PriceBounds(
-        low=low,
-        high=high,
-        low_attained_by_emm=attained(low),
-        high_attained_by_emm=attained(high),
+        low=least / discount,
+        high=most / discount,
+        low_attained_by_emm=attained(least),
+        high_attained_by_emm=attained(most),
     )
 
 
@@ -288,10 +294,11 @@ def _plan_from_record(
 
     added = [unit_vector(i, b) for i in char.completing_outcomes]
 
-    # a unit payoff's value under a measure is that measure's entry
+    # a unit payoff's value under a measure is that measure's entry, discounted;
+    # off its support a generator is 0, which needs no dividing
     discount = 1 + mkt.rate
     price_map = tuple(
-        tuple(g[i] / discount for g in char.generators)
+        tuple(g[i] / discount if g[i] else g[i] for g in char.generators)
         for i in char.completing_outcomes
     )
     prices = tuple(blended[i] / discount for i in char.completing_outcomes)

@@ -387,7 +387,8 @@ def cmd_kkl(args: argparse.Namespace) -> int:
     surface = None
     if viable:
         put = models.put_terminal(params)
-        surface = models.kkl_backward_induction(params, put, emm_p)
+        weights = models.kkl_node_weights(params, emm_p)
+        surface = models.kkl_backward_induction(params, put, weights)
         violations = models.kkl_completion_check(surface)
         root_value = surface.value(0, params.s0)
         doc["put_root_value"] = format_rational(root_value)
@@ -399,7 +400,7 @@ def cmd_kkl(args: argparse.Namespace) -> int:
         )
         if eps is not None:
             seed = args.seed or 0
-            result = models.kkl_perturb_terminal(params, eps, seed, emm_p)
+            result = models.kkl_perturb_terminal(params, eps, seed, weights)
             surface = result.surface
             deviation = max(abs(result.terminal[k] - base) for k, base in put.items())
             doc["perturbation"] = {

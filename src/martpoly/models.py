@@ -15,9 +15,19 @@ The induction runs on integers. After discounting, every node measure's
 weights share one denominator D (the measure's up-minus-down mass is k r dt,
 so its denominators do not grow with k), and one integer T clears the
 terminal values. Layer t is then an integer vector N_t with value
-N_t / (T D^(steps - t)), each node costs three integer products, and the
-completion check is an integer zero test made in the same pass. Values are
-reduced to Fractions only when they are read.
+N_t / S_t, S_t = T D^(steps - t), each node costs three integer products, and
+the completion check is an integer zero test made in the same pass. The
+discounted weights are built once per lattice and measure (``NodeWeights``),
+so a put and its perturbations share them.
+
+A value n / S_t is put in lowest terms only when it is read, and without a gcd
+at the width of S_t: its power of 2 is min(v2(n), v2(S_t)), read off the low
+bits, and its odd part is gcd(n mod M_j, M_j) for the probes
+M_j = T_odd D_odd^j, tried at j = 0, 1, 2, 4, ... and last at steps - t, where
+M_j is the odd part of S_t; the first probe that agrees with the next gives
+it. That is exact: once two probes agree, a prime dividing D_odd divides n no
+more often than it divides the smaller probe, and a prime dividing T but not
+D divides every probe as often as S_t.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import TextIO, Union
 
 from .analysis import PriceBounds, bounds_from_values
@@ -175,10 +185,9 @@ def trinomial_price_interval(
     c = vector(payoff)
     if len(c) != 3:
         raise InputError(f"payoff needs 3 entries, got {len(c)}")
-    discount = 1 + fm.rate
-    values = [dot(c, g) / discount for g in family.endpoints]
+    values = [dot(c, g) for g in family.endpoints]
     supports = [[i for i, x in enumerate(g) if x > 0] for g in family.endpoints]
-    return bounds_from_values(values, supports, 3)
+    return bounds_from_values(values, supports, 3, 1 + fm.rate)
 
 
 @dataclass(frozen=True)
@@ -382,17 +391,23 @@ class LatticeValues(Mapping[tuple[int, int], Fraction]):
     """Read-only surface values keyed by (step, state), reduced on read.
 
     Layer t holds integers N_t for the states max(0, s0 - t) .. s0 + t over
-    one positive scale, so the value at (t, k) is
-    ``Fraction(N_t[k - max(0, s0 - t)], scale_t)``, built only when read.
-    Keys iterate by step, then by state.
+    the scale S_t = T D^(steps - t), where T is the terminal scale and D the
+    node weights' denominator, so the value at (t, k) is
+    ``N_t[k - max(0, s0 - t)] / S_t``. ``_reduce`` puts values in lowest terms
+    with small gcds against T_odd D_odd^j (see the module docstring): on the
+    benchmark's lattices most values need only j = 0 and 1. Keys iterate by
+    step, then by state.
     """
 
-    __slots__ = ("_s0", "_layers", "_scales")
+    __slots__ = ("_s0", "_layers", "_terminal_scale", "_denominator")
 
-    def __init__(self, s0: int, layers: list[list[int]], scales: list[int]) -> None:
+    def __init__(
+        self, s0: int, layers: list[list[int]], terminal_scale: int, denominator: int
+    ) -> None:
         self._s0 = s0
         self._layers = layers
-        self._scales = scales
+        self._terminal_scale = terminal_scale
+        self._denominator = denominator
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         if isinstance(key, tuple) and len(key) == 2:
@@ -400,7 +415,8 @@ class LatticeValues(Mapping[tuple[int, int], Fraction]):
             if isinstance(t, int) and isinstance(k, int) and 0 <= t < len(self._layers):
                 i = k - max(0, self._s0 - t)
                 if 0 <= i < len(self._layers[t]):
-                    return Fraction(self._layers[t][i], self._scales[t])
+                    ((numerator, denominator),) = self._reduce(t, (self._layers[t][i],))
+                    return Fraction(numerator, denominator)
         raise KeyError(key)
 
     def __len__(self) -> int:
@@ -412,12 +428,46 @@ class LatticeValues(Mapping[tuple[int, int], Fraction]):
             for k in range(low, low + len(layer)):
                 yield (t, k)
 
-    def rows(self) -> Iterator[tuple[int, int, Fraction]]:
-        """(step, state, value) in key order, each value reduced once."""
-        for t, (layer, scale) in enumerate(zip(self._layers, self._scales)):
-            low = max(0, self._s0 - t)
-            for k, n in enumerate(layer, low):
-                yield t, k, Fraction(n, scale)
+    def layers(self) -> Iterator[tuple[int, int, Iterator[tuple[int, int]]]]:
+        """(step, lowest state, reduced (numerator, denominator) per state), by step."""
+        for t, layer in enumerate(self._layers):
+            yield t, max(0, self._s0 - t), self._reduce(t, layer)
+
+    def _reduce(self, t: int, numerators: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """Each n / S_t of layer t in lowest terms, as (numerator, positive denominator)."""
+        e = len(self._layers) - 1 - t
+        scale, denominator = self._terminal_scale, self._denominator
+        scale_twos = (scale & -scale).bit_length() - 1
+        weight_twos = (denominator & -denominator).bit_length() - 1
+        twos = scale_twos + e * weight_twos
+        odd_weight = denominator >> weight_twos
+        # M_j = T_odd D_odd^j at j = 0, 1, 2, 4, ... below e, then at e, where M_e
+        # is the odd part of S_t; with D_odd = 1 every M_j is M_0
+        odd = scale >> scale_twos
+        probes = [odd]
+        if odd_weight > 1 and e:
+            j, power = 1, odd_weight
+            while j < e:
+                probes.append(odd * power)
+                j, power = 2 * j, power * power
+            odd *= odd_weight**e
+            probes.append(odd)
+        first, rest = probes[0], probes[1:]
+        for n in numerators:
+            if not n:
+                yield 0, 1
+                continue
+            shift = min((n & -n).bit_length() - 1, twos)
+            g = gcd(n % first, first)
+            for m in rest:
+                h = gcd(n % m, m)
+                if h == g:
+                    break
+                g = h
+            if g == 1:
+                yield n >> shift, odd << (twos - shift)
+            else:
+                yield (n // g) >> shift, (odd // g) << (twos - shift)
 
 
 @dataclass(frozen=True)
@@ -459,52 +509,45 @@ def kkl_node_emm(params: KklParams, k: int, p: RationalLike) -> Vector:
     return trinomial_emms(fm).measure(p)
 
 
-def kkl_backward_induction(
-    params: KklParams,
-    terminal: Mapping[int, RationalLike],
-    emm_p: EmmParameter = Fraction(1, 2),
-) -> DerivativeSurface:
-    """Discounted node-measure expectations, terminal layer backward to zero.
+@dataclass(frozen=True)
+class NodeWeights:
+    """A lattice's discounted node measures as integers over one denominator.
 
-    ``emm_p`` selects the node measure: a single parameter in (0, 1) used
-    everywhere, or a callable (step, state) -> parameter for per-node choice.
-    The absorbed state discounts its own next value; branching states average
-    (down, stay, up) under the closed-form measure.
+    ``weights`` holds the integer (down, stay, up) weights of each distinct
+    node measure, scaled by ``denominator`` (D); ``layers`` lists, for steps
+    ``steps - 1`` down to 0, the index into ``weights`` of each branching
+    node in state order; ``absorbed`` is the absorbed state's weight. Built by
+    ``kkl_node_weights`` and passed as ``emm_p``, one value serves every
+    induction on the same lattice and measure.
+    """
 
-    Each layer is an integer vector over the scale T D^(steps - t) (see the
-    module docstring), and the completion check that ``kkl_completion_check``
-    reports is decided in the same pass; no Fraction arithmetic runs per
-    node. The surface's values are reduced to Fractions only when read.
+    params: KklParams
+    denominator: int
+    absorbed: int
+    weights: tuple[tuple[int, int, int], ...]
+    layers: tuple[tuple[int, ...], ...]
 
-    Unless every terminal value is 0, a D^steps with more bits than
-    ``_max_scale_bits`` raises ``LimitExceededError`` before the first
-    layer. Every layer carries that factor, whatever its values reduce to,
-    and the root's reduced denominator keeps most of it. The terminal's own
-    scale T is the caller's input and is left out, so a perturbed terminal
-    is refused exactly when the unperturbed one is.
+
+def kkl_node_weights(
+    params: KklParams, emm_p: EmmParameter = Fraction(1, 2)
+) -> NodeWeights:
+    """The discounted node weights ``kkl_backward_induction`` prices with.
+
+    ``emm_p`` is as there. Weights are built once per distinct (state,
+    parameter), in the order the nodes are priced, so a bad parameter is
+    reported at the first node that uses it.
     """
     if not kkl_viability(params):
         raise NotViableError(
             "no equivalent node measures: horizon * |rate| * (s0 + steps - 1) >= steps"
         )
-    steps = params.steps
     levels = kkl_grid(params)
-    top: list[Fraction] = []
-    for k in levels[-1]:
-        if k not in terminal:
-            raise InputError(f"terminal value missing for state {k}")
-        top.append(rat(terminal[k]))
-
     fixed = None if callable(emm_p) else rat(emm_p)
-
-    # Discounted node weights, one per distinct (k, p), taken in the order the
-    # nodes are priced so that a bad parameter is reported at the first node
-    # that uses it. Each layer keeps the weight index of its branching nodes.
     discount = 1 / (1 + params.step_rate)
     weights: list[Vector] = []
     weight_index: dict[object, int] = {}
-    layer_weights: list[list[int]] = []
-    for t in reversed(range(steps)):
+    layers: list[tuple[int, ...]] = []
+    for t in reversed(range(params.steps)):
         row: list[int] = []
         for k in levels[t]:
             if k == 0:
@@ -520,13 +563,57 @@ def kkl_backward_induction(
                 index = weight_index[key] = len(weights)
                 weights.append(tuple(discount * x for x in kkl_node_emm(params, k, p)))
             row.append(index)
-        layer_weights.append(row)
+        layers.append(tuple(row))
 
     denominator = lcm(discount.denominator, *(w.denominator for q in weights for w in q))
-    integer_weights = [
-        tuple(w.numerator * (denominator // w.denominator) for w in q) for q in weights
-    ]
-    absorbed = discount.numerator * (denominator // discount.denominator)
+    return NodeWeights(
+        params=params,
+        denominator=denominator,
+        absorbed=discount.numerator * (denominator // discount.denominator),
+        weights=tuple(
+            tuple(w.numerator * (denominator // w.denominator) for w in q) for q in weights
+        ),
+        layers=tuple(layers),
+    )
+
+
+def kkl_backward_induction(
+    params: KklParams,
+    terminal: Mapping[int, RationalLike],
+    emm_p: EmmParameter | NodeWeights = Fraction(1, 2),
+) -> DerivativeSurface:
+    """Discounted node-measure expectations, terminal layer backward to zero.
+
+    ``emm_p`` selects the node measure: a single parameter in (0, 1) used
+    everywhere, or a callable (step, state) -> parameter for per-node choice,
+    or the ``NodeWeights`` that ``kkl_node_weights`` built from either for
+    these ``params``. The absorbed state discounts its own next value;
+    branching states average (down, stay, up) under the closed-form measure.
+
+    Each layer is an integer vector over the scale T D^(steps - t) (see the
+    module docstring), and the completion check that ``kkl_completion_check``
+    reports is decided in the same pass; no Fraction arithmetic runs per
+    node. The surface's values are reduced to Fractions only when read.
+
+    Unless every terminal value is 0, a D^steps with more bits than
+    ``_max_scale_bits`` raises ``LimitExceededError`` before the first
+    layer. Every layer carries that factor, whatever its values reduce to,
+    and the root's reduced denominator keeps most of it. The terminal's own
+    scale T is the caller's input and is left out, so a perturbed terminal
+    is refused exactly when the unperturbed one is.
+    """
+    node_weights = _node_weights_for(params, emm_p)
+    steps = params.steps
+    levels = kkl_grid(params)
+    top: list[Fraction] = []
+    for k in levels[-1]:
+        if k not in terminal:
+            raise InputError(f"terminal value missing for state {k}")
+        top.append(rat(terminal[k]))
+    denominator = node_weights.denominator
+    integer_weights = node_weights.weights
+    absorbed = node_weights.absorbed
+
     terminal_scale = lcm(*(v.denominator for v in top))
     limit = _max_scale_bits()
     if limit and any(top):
@@ -538,11 +625,9 @@ def kkl_backward_induction(
             )
 
     layers: list[list[int]] = [[]] * (steps + 1)
-    scales: list[int] = [0] * (steps + 1)
     layers[steps] = [v.numerator * (terminal_scale // v.denominator) for v in top]
-    scales[steps] = terminal_scale
     bad_layers: list[list[tuple[int, int]]] = []
-    for t, row in zip(reversed(range(steps)), layer_weights):
+    for t, row in zip(reversed(range(steps)), node_weights.layers):
         nxt = layers[t + 1]
         low = levels[t][0]
         cur: list[int] = []
@@ -559,14 +644,22 @@ def kkl_backward_induction(
             if down + up == 2 * stay:
                 bad.append((t, first + j))
         layers[t] = cur
-        scales[t] = scales[t + 1] * denominator
         bad_layers.append(bad)
     violations = tuple(node for bad in reversed(bad_layers) for node in bad)
     return DerivativeSurface(
         steps=steps,
-        values=LatticeValues(params.s0, layers, scales),
+        values=LatticeValues(params.s0, layers, terminal_scale, denominator),
         violations=violations,
     )
+
+
+def _node_weights_for(params: KklParams, emm_p: EmmParameter | NodeWeights) -> NodeWeights:
+    """``emm_p`` itself when it is ``NodeWeights`` built for ``params``, else built from it."""
+    if not isinstance(emm_p, NodeWeights):
+        return kkl_node_weights(params, emm_p)
+    if emm_p.params != params:
+        raise InputError("node weights were built for a different lattice")
+    return emm_p
 
 
 def kkl_completion_check(surface: DerivativeSurface) -> tuple[tuple[int, int], ...]:
@@ -597,7 +690,7 @@ def kkl_perturb_terminal(
     params: KklParams,
     epsilon: RationalLike,
     seed: int,
-    emm_p: EmmParameter = Fraction(1, 2),
+    emm_p: EmmParameter | NodeWeights = Fraction(1, 2),
 ) -> PerturbationResult:
     """Nudge the put's terminal values until the completion check is empty.
 
@@ -606,11 +699,14 @@ def kkl_perturb_terminal(
     The vanishing second differences cut out finitely many hyperplanes, so a
     random rational point misses them essentially always; the retry budget
     exists only to make the failure mode explicit rather than silent.
+    ``emm_p`` is as in ``kkl_backward_induction``; its node weights are built
+    once and serve every attempt.
     """
     eps = rat(epsilon)
     if eps <= 0:
         raise InputError("perturbation size must be positive")
     base = put_terminal(params)
+    weights = _node_weights_for(params, emm_p)
     rng = random.Random(seed)
     for attempt in range(1, _PERTURB_ATTEMPTS + 1):
         terminal = {
@@ -618,7 +714,7 @@ def kkl_perturb_terminal(
                                   _PERTURB_DENOMINATOR)
             for k, v in base.items()
         }
-        surface = kkl_backward_induction(params, terminal, emm_p)
+        surface = kkl_backward_induction(params, terminal, weights)
         if not kkl_completion_check(surface):
             return PerturbationResult(terminal=terminal, surface=surface,
                                       attempts=attempt)
@@ -628,7 +724,22 @@ def kkl_perturb_terminal(
 
 
 def write_surface_csv(surface: DerivativeSurface, stream: TextIO) -> None:
-    """Rows t,k,value by step then state, values as rational strings."""
+    """Rows t,k,value by step then state, values as reduced rational strings.
+
+    Each layer is reduced and written with one ``write``, so the whole CSV is
+    never held in memory. A value too long to print raises
+    ``LimitExceededError``, as ``format_rational`` does.
+    """
     stream.write("t,k,value\n")
-    for t, k, value in surface.values.rows():
-        stream.write(f"{t},{k},{format_rational(value)}\n")
+    for t, low, reduced in surface.values.layers():
+        pairs = list(reduced)
+        try:
+            stream.write("".join(
+                f"{t},{k},{n}\n" if d == 1 else f"{t},{k},{n}/{d}\n"
+                for k, (n, d) in enumerate(pairs, low)
+            ))
+        except ValueError:
+            # name the value too long to print, as format_rational does
+            for n, d in pairs:
+                format_rational(Fraction(n, d))
+            raise

@@ -316,6 +316,34 @@ def test_bounds_sandwich():
         assert bounds.low in values and bounds.high in values
 
 
+@pytest.mark.parametrize("rate", ["0", "1/3", "-1/2", "-3/2", "-5"])
+def test_price_bounds_equal_the_bounds_of_every_discounted_value(rate):
+    # bounds divide only the extremes: a negative discount (rate below -1)
+    # swaps them, and attainment follows the value, not its side
+    rng = random.Random(rate)
+    for _ in range(25):
+        viable = random_viable_market(rng, max_b=6, max_n=2)
+        r = Fraction(rate)
+        # the same grown spot, so the same generators, at the new rate
+        spot = [s * (1 + viable.rate) / (1 + r) for s in viable.spot]
+        mkt = market.OnePeriodMarket(rate=r, spot=tuple(spot), payoffs=viable.payoffs)
+        char = characterize(mkt)
+        payoff = V(*[rng.randint(-5, 5) for _ in range(mkt.outcomes)])
+        values = [rationals.dot(payoff, g) / (1 + r) for g in char.generators]
+
+        def attained(target):
+            covered = set()
+            for v, support in zip(values, char.generators.supports):
+                if v == target:
+                    covered.update(support)
+            return len(covered) == mkt.outcomes
+
+        bounds = price_bounds(mkt, payoff)
+        assert (bounds.low, bounds.high) == (min(values), max(values))
+        assert bounds.low_attained_by_emm == attained(min(values))
+        assert bounds.high_attained_by_emm == attained(max(values))
+
+
 def test_attainability_matches_sampled_mixtures():
     # endpoint attained by an equivalent measure iff some admissible mixture
     # achieves it; search mixtures supported on the endpoint's generators

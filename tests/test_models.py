@@ -1,5 +1,7 @@
 """Factor-model closed forms and the birth-death lattice."""
 
+import io
+import math
 import random
 import re
 import sys
@@ -30,6 +32,7 @@ from martpoly import (
     kkl_component_market,
     kkl_grid,
     kkl_node_emm,
+    kkl_node_weights,
     kkl_params,
     kkl_perturb_terminal,
     kkl_transition,
@@ -42,9 +45,10 @@ from martpoly import (
     trinomial_emms,
     trinomial_price_interval,
     verify_measure,
+    write_surface_csv,
 )
-from martpoly import models
-from martpoly.models import EmmParameter, kkl_grid_size
+from martpoly import cli, models
+from martpoly.models import EmmParameter, LatticeValues, kkl_grid_size
 from martpoly.rationals import RationalLike, rat
 from util import random_viable_trinomial
 
@@ -772,7 +776,14 @@ def test_surface_values_mapping():
     keys = [(t, k) for t, level in enumerate(levels) for k in level]
     assert len(values) == len(keys) == kkl_grid_size(2, 4)
     assert list(values) == keys
-    assert [(t, k) for t, k, _ in values.rows()] == keys
+    rows = [
+        (t, k, n, d) for t, low, reduced in values.layers()
+        for k, (n, d) in enumerate(reduced, low)
+    ]
+    assert [(t, k) for t, k, _, _ in rows] == keys
+    assert all(
+        (n, d) == (values[t, k].numerator, values[t, k].denominator) for t, k, n, d in rows
+    )
     assert surface.terminal_states() == levels[-1]
     off_grid = ((0, 3), (0, 1), (1, 4), (5, 0), (-1, 2), (-1, 3), (4, -1), (3, -1))
     for key in (*off_grid, "t", (1, 2, 3)):
@@ -830,3 +841,166 @@ def test_integer_layers_match_the_literal_tree():
                     for node in tree_market.tree.nodes:
                         k = int(tree_market.prices[node.id][0])
                         assert surface.value(node.time, k) == values[node.id], node.id
+
+
+# ---------------------------------------------------------------------------
+# reducing layer values without a gcd at the scale's width
+
+# odd primes for the scales' odd parts: small ones that repeat, and wide ones
+SCALE_PRIMES = (3, 5, 7, 1201, 8407, 65537, 2**61 - 1)
+
+
+@st.composite
+def lattice_scales(draw):
+    """2^a times a product of SCALE_PRIMES, possibly none of them."""
+    odd = math.prod(draw(st.lists(st.sampled_from(SCALE_PRIMES), max_size=4)))
+    return 2 ** draw(st.integers(0, 24)) * odd
+
+
+def layer_numerators(rng, scale, denominator, steps):
+    """Numerators over T D^(steps - t), often sharing many factors of T and D.
+
+    Layer t holds 2t + 1 of them, as it does from s0 = steps.
+    """
+    layers = []
+    for t in range(steps + 1):
+        layer = []
+        for _ in range(2 * t + 1):
+            kind = rng.choice(["zero", "small", "shared", "wide"])
+            if kind == "zero":
+                layer.append(0)
+            elif kind == "small":
+                layer.append(rng.randint(-50, 50))
+            elif kind == "shared":
+                # up to one more power of D than S_t has, times a sign and a cofactor
+                power = rng.randint(0, steps - t + 1)
+                cofactor = rng.randint(1, 10**6) * rng.choice((1, *SCALE_PRIMES))
+                shared = scale ** rng.randint(0, 1) * denominator**power
+                layer.append(rng.choice((-1, 1)) * cofactor * shared)
+            else:
+                layer.append(rng.randint(-(2**400), 2**400))
+        layers.append(layer)
+    return layers
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_layer_reduction_matches_fraction(data):
+    steps = data.draw(st.integers(0, 12))
+    scale = data.draw(lattice_scales())
+    denominator = data.draw(lattice_scales())
+    layers = layer_numerators(data.draw(st.randoms(use_true_random=False)),
+                              scale, denominator, steps)
+    s0 = steps
+    values = LatticeValues(s0, layers, scale, denominator)
+    seen = 0
+    for t, low, reduced in values.layers():
+        assert low == s0 - t
+        for k, (n, d), raw in zip(range(low, s0 + t + 1), reduced, layers[t], strict=True):
+            expected = Fraction(raw, scale * denominator ** (steps - t))
+            assert (n, d) == (expected.numerator, expected.denominator), (t, k)
+            value = values[t, k]
+            assert type(value) is Fraction and value == expected
+            seen += 1
+    assert seen == len(values)
+
+
+def test_layer_reduction_on_named_scales():
+    # T = 1, D = 1, pure powers of 2, and T sharing an odd prime with D
+    for scale, denominator in ((1, 1), (1, 2**5), (2**7, 1), (125, 5 * 701), (3, 3)):
+        steps = 6
+        layers = [
+            [(-1) ** j * (5 * 701 * 2) ** j * (j + t + 1) for j in range(2 * t + 1)]
+            for t in range(steps + 1)
+        ]
+        values = LatticeValues(steps, layers, scale, denominator)
+        for t, low, reduced in values.layers():
+            for (n, d), raw in zip(reduced, layers[t], strict=True):
+                expected = Fraction(raw, scale * denominator ** (steps - t))
+                assert (n, d) == (expected.numerator, expected.denominator)
+
+
+def test_write_surface_csv_refuses_a_value_too_long_to_print():
+    params = kkl_params(s0=2, lam="1/8", eta="1/8", rate="1e-30", steps=60)
+    surface = kkl_backward_induction(params, put_terminal(params))
+    root = surface.value(0, 2)
+    assert root.denominator.bit_length() > (10**640).bit_length()
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(
+            LimitExceededError, match="too long to print: over the limit of 640 decimal digits"
+        ):
+            write_surface_csv(surface, io.StringIO())
+    finally:
+        sys.set_int_max_str_digits(digits)
+    stream = io.StringIO()
+    write_surface_csv(surface, stream)
+    lines = stream.getvalue().splitlines()
+    assert lines[0] == "t,k,value" and lines[1] == f"0,2,{root}"
+    assert len(lines) == 1 + len(surface.values)
+
+
+# ---------------------------------------------------------------------------
+# node weights, built once per lattice and measure
+
+
+def test_node_weights_price_as_the_parameter_does():
+    params = kkl_params(s0=3, lam="1/16", eta="3/32", rate="-1/5", horizon=1, steps=8)
+    terminal = {k: Fraction(k * k - 7, 3) for k in kkl_grid(params)[-1]}
+    for emm_p in (Fraction(3, 8), lambda t, k: Fraction(1 + (t + k) % 3, 4)):
+        weights = kkl_node_weights(params, emm_p)
+        expected = kkl_backward_induction(params, terminal, emm_p)
+        surface = kkl_backward_induction(params, terminal, weights)
+        assert dict(surface.values) == dict(expected.values)
+        assert surface.violations == expected.violations
+
+
+def test_node_weights_refuse_another_lattice():
+    params = kkl_params(s0=2, lam="1/16", eta="1/16", steps=3)
+    other = kkl_params(s0=2, lam="1/16", eta="1/16", steps=4)
+    weights = kkl_node_weights(params)
+    with pytest.raises(InputError, match="different lattice"):
+        kkl_backward_induction(other, put_terminal(other), weights)
+    with pytest.raises(InputError, match="different lattice"):
+        kkl_perturb_terminal(other, "1/100", 0, weights)
+    bad = kkl_params(s0=1, lam="1/8", eta="1/8", rate=2, steps=1)
+    with pytest.raises(NotViableError):
+        kkl_node_weights(bad)
+
+
+def test_bad_node_parameter_is_reported_at_the_first_node_using_it():
+    params = kkl_params(s0=2, lam="1/16", eta="1/16", steps=4)
+    asked: list[tuple[int, int]] = []
+
+    def emm_p(t, k):
+        asked.append((t, k))
+        return Fraction(2) if (t, k) == (2, 3) else Fraction(1, 2)
+
+    # nodes are priced from the last branching step back, states ascending
+    priced_first = [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (2, 1), (2, 2), (2, 3)]
+    for build in (
+        lambda: kkl_node_weights(params, emm_p),
+        lambda: kkl_backward_induction(params, put_terminal(params), emm_p),
+        lambda: kkl_perturb_terminal(params, "1/100", 0, emm_p),
+    ):
+        asked.clear()
+        with pytest.raises(InputError, match="strictly in"):
+            build()
+        assert asked == priced_first
+
+
+def test_kkl_builds_its_node_measures_once(monkeypatch, capsys):
+    built = []
+    node_emm = models.kkl_node_emm
+
+    def counted(params, k, p):
+        built.append(k)
+        return node_emm(params, k, p)
+
+    monkeypatch.setattr(models, "kkl_node_emm", counted)
+    argv = ["kkl", "--s0", "2", "--lambda", "1/16", "--eta", "1/16", "--steps", "6",
+            "--epsilon", "1/1000", "--json"]
+    assert cli.main(argv) == 0
+    # one measure per branching state, for the put and the perturbation together
+    assert sorted(built) == list(range(1, 2 + 6))
