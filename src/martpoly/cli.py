@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -116,6 +116,8 @@ def _json_text(document: object) -> str:
     object, and a fragment the document holds at many places is reused.
     """
     memo: dict[tuple[int, int], str] = {}
+    # breaks[d] is a newline and depth d's indent, added as depths are reached
+    breaks = ["\n"]
 
     def value(obj: object, depth: int) -> str:
         if type(obj) is str:
@@ -135,10 +137,18 @@ def _json_text(document: object) -> str:
         return text
 
     def container(obj: object, depth: int) -> str:
+        inner = depth + 1
+        if len(breaks) <= inner:  # a parent has added breaks[depth] already
+            breaks.append(breaks[-1] + "  ")
         if type(obj) is list:
             if not obj:
                 return "[]"
-            items = [value(x, depth + 1) for x in obj]
+            items = [
+                encode_basestring_ascii(x) if type(x) is str
+                else int.__repr__(x) if type(x) is int
+                else value(x, inner)
+                for x in obj
+            ]
             brackets = "[]"
         elif type(obj) is dict:
             if not obj:
@@ -146,24 +156,29 @@ def _json_text(document: object) -> str:
             if any(type(k) is not str for k in obj):
                 raise TypeError("JSON object keys must be str")
             items = [
-                f"{encode_basestring_ascii(k)}: {value(v, depth + 1)}"
+                f"{encode_basestring_ascii(k)}: {value(v, inner)}"
                 for k, v in sorted(obj.items())
             ]
             brackets = "{}"
         else:
             raise TypeError(f"cannot render a {type(obj).__name__} as JSON")
-        inner = "\n" + "  " * (depth + 1)
-        return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+        indent = breaks[inner]
+        return brackets[0] + indent + ("," + indent).join(items) + breaks[depth] + brackets[1]
 
     return value(document, 0)
 
 
-def _emit(args: argparse.Namespace, document: dict, human: list[str]) -> None:
-    """Print the report: ``document`` as indented JSON under --json, else ``human``."""
+def _emit(
+    args: argparse.Namespace, document: dict, human: Callable[[], list[str]]
+) -> None:
+    """Print the report: ``document`` as indented JSON under --json, else ``human()``.
+
+    The human lines are built only when they are printed.
+    """
     if args.json:
         print(_json_text(document))
     else:
-        for line in human:
+        for line in human():
             print(line)
 
 
@@ -199,16 +214,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     mkt = _load_market(args.path)
     char = analysis.characterize(mkt, max_outcomes=_max_outcomes(args))
     doc = _market_report(mkt, char)
-    human = [
-        f"outcomes: {doc['outcomes']}  assets: {doc['assets']}",
-        f"viable (arbitrage-free): {doc['viable']}",
-        f"complete: {doc['complete']}",
-        f"generators ({len(char.generators)}):",
-    ]
-    human += [f"  {_fmt_vec(g)}" for g in char.generators]
-    if char.witness is not None:
-        human.append(f"witness measure: {_fmt_vec(char.witness)}")
-    human += _describe_supports(char)
+
+    def human() -> list[str]:
+        lines = [
+            f"outcomes: {doc['outcomes']}  assets: {doc['assets']}",
+            f"viable (arbitrage-free): {doc['viable']}",
+            f"complete: {doc['complete']}",
+            f"generators ({len(char.generators)}):",
+        ]
+        lines += [f"  {_fmt_vec(g)}" for g in char.generators]
+        if char.witness is not None:
+            lines.append(f"witness measure: {_fmt_vec(char.witness)}")
+        return lines + _describe_supports(char)
+
     _emit(args, doc, human)
     return EXIT_OK
 
@@ -217,8 +235,12 @@ def cmd_generators(args: argparse.Namespace) -> int:
     mkt = _load_market(args.path)
     char = analysis.characterize(mkt, max_outcomes=_max_outcomes(args))
     doc = {"generators": [_vec_strings(g) for g in char.generators]}
-    human = [f"{len(char.generators)} generator(s):"]
-    human += [f"  {_fmt_vec(g)}" for g in char.generators]
+
+    def human() -> list[str]:
+        return [f"{len(char.generators)} generator(s):"] + [
+            f"  {_fmt_vec(g)}" for g in char.generators
+        ]
+
     _emit(args, doc, human)
     return EXIT_OK
 
@@ -234,15 +256,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "low_attained_by_emm": bounds.low_attained_by_emm,
         "high_attained_by_emm": bounds.high_attained_by_emm,
     }
-    left = "[" if bounds.low_attained_by_emm else "("
-    right = "]" if bounds.high_attained_by_emm else ")"
-    human = [
-        f"payoff: {_fmt_vec(payoff)}",
-        f"price range: {left}{format_rational(bounds.low)}, "
-        f"{format_rational(bounds.high)}{right}",
-    ]
-    if bounds.low == bounds.high:
-        human.append("degenerate range: the payoff is priced uniquely")
+
+    def human() -> list[str]:
+        left = "[" if bounds.low_attained_by_emm else "("
+        right = "]" if bounds.high_attained_by_emm else ")"
+        lines = [
+            f"payoff: {_fmt_vec(payoff)}",
+            f"price range: {left}{doc['low']}, {doc['high']}{right}",
+        ]
+        if bounds.low == bounds.high:
+            lines.append("degenerate range: the payoff is priced uniquely")
+        return lines
+
     _emit(args, doc, human)
     return EXIT_OK
 
@@ -265,24 +290,29 @@ def cmd_complete(args: argparse.Namespace) -> int:
         weights = _parse_rational_list(args.weights, "--weights")
     plan = analysis.complete_market(mkt, weights, max_outcomes=_max_outcomes(args))
     doc = _plan_document(plan)
-    if plan.is_empty:
-        human = ["market is already complete; nothing to add"]
-    else:
-        human = [f"adding {plan.added_payoff_rows.rows} asset(s):"]
-        for row, prices, price in zip(
-            plan.added_payoff_rows.entries, plan.price_map, plan.prices
-        ):
-            human.append(
-                f"  payoffs {_fmt_vec(row)}  generator prices {_fmt_vec(prices)}"
-                f"  price {format_rational(price)}"
-            )
-        human.append(f"weights: {_fmt_vec(plan.weights)}")
     if args.apply is not None:
         extended = analysis.apply_completion(mkt, plan)
         with _opened(args.apply, "w") as fh:
             fh.write(_json_text(market_to_json_dict(extended)) + "\n")
-        human.append(f"extended market written to {args.apply}")
         doc["applied_to"] = args.apply
+
+    def human() -> list[str]:
+        if plan.is_empty:
+            lines = ["market is already complete; nothing to add"]
+        else:
+            lines = [f"adding {plan.added_payoff_rows.rows} asset(s):"]
+            for row, prices, price in zip(
+                plan.added_payoff_rows.entries, plan.price_map, plan.prices
+            ):
+                lines.append(
+                    f"  payoffs {_fmt_vec(row)}  generator prices {_fmt_vec(prices)}"
+                    f"  price {format_rational(price)}"
+                )
+            lines.append(f"weights: {_fmt_vec(plan.weights)}")
+        if args.apply is not None:
+            lines.append(f"extended market written to {args.apply}")
+        return lines
+
     _emit(args, doc, human)
     return EXIT_OK
 
@@ -310,15 +340,17 @@ def cmd_tree_analyze(args: argparse.Namespace) -> int:
             for r in report.components
         ],
     }
-    human = [
-        f"tree viable: {report.viable}   tree complete: {report.complete}",
-        f"components ({len(report.components)}):",
-    ]
-    for r in report.components:
-        human.append(
+
+    def human() -> list[str]:
+        return [
+            f"tree viable: {report.viable}   tree complete: {report.complete}",
+            f"components ({len(report.components)}):",
+        ] + [
             f"  t={r.component.time} node={r.component.node_id}: "
             f"b={r.component.market.outcomes} viable={r.viable} complete={r.complete}"
-        )
+            for r in report.components
+        ]
+
     _emit(args, doc, human)
     return EXIT_OK
 
@@ -335,13 +367,16 @@ def cmd_tree_complete(args: argparse.Namespace) -> int:
             for p in plans
         ]
     }
-    if not plans:
-        human = ["tree is already complete; nothing to add"]
-    else:
-        human = [f"{len(plans)} component(s) need assets:"]
+
+    def human() -> list[str]:
+        if not plans:
+            return ["tree is already complete; nothing to add"]
+        lines = [f"{len(plans)} component(s) need assets:"]
         for p in plans:
             rows = ", ".join(_fmt_vec(r) for r in p.plan.added_payoff_rows.entries)
-            human.append(f"  t={p.time} node={p.node_id}: add {rows}")
+            lines.append(f"  t={p.time} node={p.node_id}: add {rows}")
+        return lines
+
     _emit(args, doc, human)
     return EXIT_OK
 
@@ -363,6 +398,9 @@ def cmd_kkl(args: argparse.Namespace) -> int:
         horizon=parse_rational(args.horizon),
         steps=args.steps,
     )
+    # dt is in the human report only; formatting it first keeps that report
+    # failing before any pricing when dt is too long to print
+    dt = None if args.json else format_rational(params.dt)
     viable = models.kkl_viability(params)
     if eps is not None and not viable:
         raise NotViableError("no surface to perturb: the lattice is not viable")
@@ -379,25 +417,15 @@ def cmd_kkl(args: argparse.Namespace) -> int:
         "viable": viable,
         "grid_states": sum(len(level) for level in levels),
     }
-    human = [
-        f"grid: {doc['grid_states']} states over {params.steps} step(s), "
-        f"dt = {format_rational(params.dt)}",
-        f"viable: {viable}",
-    ]
     surface = None
     if viable:
         put = models.put_terminal(params)
         weights = models.kkl_node_weights(params, emm_p)
         surface = models.kkl_backward_induction(params, put, weights)
-        violations = models.kkl_completion_check(surface)
-        root_value = surface.value(0, params.s0)
-        doc["put_root_value"] = format_rational(root_value)
-        doc["completion_violations"] = [list(v) for v in violations]
-        human.append(f"strike-1 put value at the root: {format_rational(root_value)}")
-        human.append(
-            f"completion check: {len(violations)} violating node(s)"
-            + ("" if violations else "; stock plus put is complete")
-        )
+        doc["put_root_value"] = format_rational(surface.value(0, params.s0))
+        doc["completion_violations"] = [
+            list(v) for v in models.kkl_completion_check(surface)
+        ]
         if eps is not None:
             seed = args.seed or 0
             result = models.kkl_perturb_terminal(params, eps, seed, weights)
@@ -412,17 +440,35 @@ def cmd_kkl(args: argparse.Namespace) -> int:
                     str(k): format_rational(v) for k, v in result.terminal.items()
                 },
             }
-            human.append(
-                f"perturbed terminal (attempt {result.attempts}): completion check "
-                f"empty, max deviation {format_rational(deviation)}"
-            )
     if args.out is not None:
         if surface is None:
             raise NotViableError("no surface to write: the lattice is not viable")
         with _opened(args.out, "w") as fh:
             models.write_surface_csv(surface, fh)
-        human.append(f"surface written to {args.out}")
         doc["surface_csv"] = args.out
+
+    def human() -> list[str]:
+        lines = [
+            f"grid: {doc['grid_states']} states over {params.steps} step(s), dt = {dt}",
+            f"viable: {viable}",
+        ]
+        if viable:
+            violations = doc["completion_violations"]
+            lines.append(f"strike-1 put value at the root: {doc['put_root_value']}")
+            lines.append(
+                f"completion check: {len(violations)} violating node(s)"
+                + ("" if violations else "; stock plus put is complete")
+            )
+        if "perturbation" in doc:
+            perturbation = doc["perturbation"]
+            lines.append(
+                f"perturbed terminal (attempt {perturbation['attempts']}): completion "
+                f"check empty, max deviation {perturbation['max_deviation']}"
+            )
+        if args.out is not None:
+            lines.append(f"surface written to {args.out}")
+        return lines
+
     _emit(args, doc, human)
     return EXIT_OK
 

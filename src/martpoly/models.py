@@ -11,23 +11,25 @@ proportional to the price, or leaves it in place; price zero absorbs. Each
 branching node is such a trinomial market with factors (1 - 1/k, 1, 1 + 1/k),
 so the closed forms drive the backward induction of a derivative surface.
 
-The induction runs on integers. After discounting, every node measure's
-weights share one denominator D (the measure's up-minus-down mass is k r dt,
-so its denominators do not grow with k), and one integer T clears the
-terminal values. Layer t is then an integer vector N_t with value
-N_t / S_t, S_t = T D^(steps - t), each node costs three integer products, and
-the completion check is an integer zero test made in the same pass. The
-discounted weights are built once per lattice and measure (``NodeWeights``),
-so a put and its perturbations share them.
+The induction runs on integers. The node measures are linear in k, so with
+the step rate a / b and the measure parameter u / v the discounted weights of
+every state are integers over 2 v (a + b) (``kkl_node_weights``); they share
+one denominator D, and one integer T clears the terminal values. Layer t is
+then an integer vector N_t with value N_t / S_t, S_t = T D^(steps - t), each
+node costs three integer products, and the completion check is an integer
+zero test made in the same pass. No Fraction is built from the node weights
+to the CSV. The weights are built once per lattice and measure
+(``NodeWeights``), so a put and its perturbations share them.
 
 A value n / S_t is put in lowest terms only when it is read, and without a gcd
 at the width of S_t: its power of 2 is min(v2(n), v2(S_t)), read off the low
-bits, and its odd part is gcd(n mod M_j, M_j) for the probes
-M_j = T_odd D_odd^j, tried at j = 0, 1, 2, 4, ... and last at steps - t, where
-M_j is the odd part of S_t; the first probe that agrees with the next gives
-it. That is exact: once two probes agree, a prime dividing D_odd divides n no
-more often than it divides the smaller probe, and a prime dividing T but not
-D divides every probe as often as S_t.
+bits. For its odd part, g = gcd(n mod P, P) with the probe P = T_odd D_odd,
+which has every odd prime of S_t. A g of 1 is final, and so is any g when P
+is the odd part of S_t itself (t >= steps - 1, or D_odd = 1). Otherwise g
+grows, by gcds against g and its squares, into the part of n made of those
+primes, whose gcd with the odd part of S_t is the answer. Every gcd
+runs at the width of the probe or of that part, which is small unless n
+carries many of S_t's primes, not at the width of S_t.
 """
 
 from __future__ import annotations
@@ -112,6 +114,14 @@ def factor_completeness(fm: FactorModel) -> bool:
     return factor_viability(fm) and fm.branches <= 2
 
 
+def _measure_parameter(p: RationalLike) -> Fraction:
+    """A node-measure parameter as a Fraction; outside (0, 1) it is an ``InputError``."""
+    t = rat(p)
+    if not 0 < t < 1:
+        raise InputError(f"measure parameter must lie strictly in (0, 1), got {t}")
+    return t
+
+
 @dataclass(frozen=True)
 class TrinomialEmmFamily:
     """All equivalent measures of a viable three-factor market.
@@ -127,9 +137,7 @@ class TrinomialEmmFamily:
 
     def measure(self, p: RationalLike) -> Vector:
         """The equivalent measure at parameter p, for 0 < p < 1."""
-        t = rat(p)
-        if not 0 < t < 1:
-            raise InputError(f"measure parameter must lie strictly in (0, 1), got {t}")
+        t = _measure_parameter(p)
         first, second = self.endpoints
         return tuple(t * a + (1 - t) * b for a, b in zip(first, second))
 
@@ -394,9 +402,9 @@ class LatticeValues(Mapping[tuple[int, int], Fraction]):
     the scale S_t = T D^(steps - t), where T is the terminal scale and D the
     node weights' denominator, so the value at (t, k) is
     ``N_t[k - max(0, s0 - t)] / S_t``. ``_reduce`` puts values in lowest terms
-    with small gcds against T_odd D_odd^j (see the module docstring): on the
-    benchmark's lattices most values need only j = 0 and 1. Keys iterate by
-    step, then by state.
+    with gcds against T_odd D_odd and its factors (see the module docstring):
+    on the benchmark's lattices most values need only the first. Keys
+    iterate by step, then by state.
     """
 
     __slots__ = ("_s0", "_layers", "_terminal_scale", "_denominator")
@@ -441,29 +449,29 @@ class LatticeValues(Mapping[tuple[int, int], Fraction]):
         weight_twos = (denominator & -denominator).bit_length() - 1
         twos = scale_twos + e * weight_twos
         odd_weight = denominator >> weight_twos
-        # M_j = T_odd D_odd^j at j = 0, 1, 2, 4, ... below e, then at e, where M_e
-        # is the odd part of S_t; with D_odd = 1 every M_j is M_0
+        # the probe T_odd D_odd has every odd prime of S_t, and is S_t's odd part
+        # when e <= 1 or D_odd = 1
         odd = scale >> scale_twos
-        probes = [odd]
-        if odd_weight > 1 and e:
-            j, power = 1, odd_weight
-            while j < e:
-                probes.append(odd * power)
-                j, power = 2 * j, power * power
-            odd *= odd_weight**e
-            probes.append(odd)
-        first, rest = probes[0], probes[1:]
+        probe = odd * odd_weight if e else odd
+        odd *= odd_weight**e
+        exact = probe == odd
         for n in numerators:
             if not n:
                 yield 0, 1
                 continue
             shift = min((n & -n).bit_length() - 1, twos)
-            g = gcd(n % first, first)
-            for m in rest:
-                h = gcd(n % m, m)
-                if h == g:
-                    break
-                g = h
+            g = gcd(n % probe, probe)
+            if g != 1 and not exact:
+                # the part of n made of the probe's primes: every prime of n / g
+                # that the probe has divides h, and h squares each round
+                m = n // g
+                h = gcd(m % g, g)
+                while h != 1:
+                    g *= h
+                    m //= h
+                    h *= h
+                    h = gcd(m % h, h)
+                g = gcd(odd % g, g)
             if g == 1:
                 yield n >> shift, odd << (twos - shift)
             else:
@@ -516,9 +524,11 @@ class NodeWeights:
     ``weights`` holds the integer (down, stay, up) weights of each distinct
     node measure, scaled by ``denominator`` (D); ``layers`` lists, for steps
     ``steps - 1`` down to 0, the index into ``weights`` of each branching
-    node in state order; ``absorbed`` is the absorbed state's weight. Built by
-    ``kkl_node_weights`` and passed as ``emm_p``, one value serves every
-    induction on the same lattice and measure.
+    node in state order; ``absorbed`` is the absorbed state's weight. D is
+    the lcm of the reduced denominators of every discounted weight, the
+    absorbed one included. Built by ``kkl_node_weights`` from integer closed
+    forms and passed as ``emm_p``, one value serves every induction on the
+    same lattice and measure.
     """
 
     params: KklParams
@@ -535,16 +545,21 @@ def kkl_node_weights(
 
     ``emm_p`` is as there. Weights are built once per distinct (state,
     parameter), in the order the nodes are priced, so a bad parameter is
-    reported at the first node that uses it.
+    reported at the first node that uses it. Each is an integer n over L
+    (``_discounted_weights``), D is the lcm of every reduced L / gcd(n, L),
+    and n / L becomes n D / L. A state's three weights sum to the absorbed
+    weight b / (a + b), so D is a multiple of a + b.
     """
     if not kkl_viability(params):
         raise NotViableError(
             "no equivalent node measures: horizon * |rate| * (s0 + steps - 1) >= steps"
         )
     levels = kkl_grid(params)
-    fixed = None if callable(emm_p) else rat(emm_p)
-    discount = 1 / (1 + params.step_rate)
-    weights: list[Vector] = []
+    rate = params.step_rate
+    a, b = rate.numerator, rate.denominator
+    fixed = None if callable(emm_p) else _measure_parameter(emm_p)
+    # each distinct measure's numerators (down, stay, up) and their common L
+    weights: list[tuple[int, int, int, int]] = []
     weight_index: dict[object, int] = {}
     layers: list[tuple[int, ...]] = []
     for t in reversed(range(params.steps)):
@@ -560,21 +575,41 @@ def kkl_node_weights(
                 key = k
             index = weight_index.get(key)
             if index is None:
+                if fixed is None:
+                    _measure_parameter(p)
                 index = weight_index[key] = len(weights)
-                weights.append(tuple(discount * x for x in kkl_node_emm(params, k, p)))
+                weights.append(_discounted_weights(a, b, k, p))
             row.append(index)
         layers.append(tuple(row))
 
-    denominator = lcm(discount.denominator, *(w.denominator for q in weights for w in q))
+    denominator = lcm(*(scale // gcd(n, scale) for *q, scale in weights for n in q))
     return NodeWeights(
         params=params,
         denominator=denominator,
-        absorbed=discount.numerator * (denominator // discount.denominator),
+        absorbed=b * (denominator // (a + b)),
         weights=tuple(
-            tuple(w.numerator * (denominator // w.denominator) for w in q) for q in weights
+            (down * denominator // scale, stay * denominator // scale,
+             up * denominator // scale)
+            for down, stay, up, scale in weights
         ),
         layers=tuple(layers),
     )
+
+
+def _discounted_weights(a: int, b: int, k: int, p: Fraction) -> tuple[int, int, int, int]:
+    """State k's discounted (down, stay, up) numerators over L = 2 v (a + b), and L.
+
+    The step rate r = a / b (b > 0) is viable, so |a| k < b. The measure is p
+    times ((1 - k r) / 2, 0, (1 + k r) / 2) plus 1 - p times (0, 1 - k r, k r)
+    for r >= 0 or (-k r, 1 + k r, 0) for r < 0, and the discount is b / (a + b).
+    """
+    u, v = p.numerator, p.denominator
+    ka, w = k * a, 2 * (v - u)
+    if a >= 0:
+        down, stay, up = u * (b - ka), w * (b - ka), u * (b + ka) + w * ka
+    else:
+        down, stay, up = u * (b - ka) - w * ka, w * (b + ka), u * (b + ka)
+    return down, stay, up, 2 * v * (a + b)
 
 
 def kkl_backward_induction(
@@ -727,17 +762,23 @@ def write_surface_csv(surface: DerivativeSurface, stream: TextIO) -> None:
     """Rows t,k,value by step then state, values as reduced rational strings.
 
     Each layer is reduced and written with one ``write``, so the whole CSV is
-    never held in memory. A value too long to print raises
-    ``LimitExceededError``, as ``format_rational`` does.
+    never held in memory; a denominator that several of its values share is
+    formatted once. A value too long to print raises ``LimitExceededError``,
+    as ``format_rational`` does.
     """
     stream.write("t,k,value\n")
     for t, low, reduced in surface.values.layers():
         pairs = list(reduced)
+        # each distinct denominator's line ending, "\n" for 1
+        endings: dict[int, str] = {1: "\n"}
+        lines = []
         try:
-            stream.write("".join(
-                f"{t},{k},{n}\n" if d == 1 else f"{t},{k},{n}/{d}\n"
-                for k, (n, d) in enumerate(pairs, low)
-            ))
+            for k, (n, d) in enumerate(pairs, low):
+                ending = endings.get(d)
+                if ending is None:
+                    ending = endings[d] = f"/{d}\n"
+                lines.append(f"{t},{k},{n}{ending}")
+            stream.write("".join(lines))
         except ValueError:
             # name the value too long to print, as format_rational does
             for n, d in pairs:

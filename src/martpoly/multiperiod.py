@@ -174,16 +174,22 @@ class _DocumentValues:
     ) -> Vector:
         """``vector(values)``, interned; an error in it names the field and node.
 
-        Only a list of ``str`` is looked up by its raw entries: ``True``,
-        ``1`` and ``1.0`` compare equal to each other, so a raw lookup of
-        any other list could let a refused value borrow an accepted one.
+        Only lists of ``str`` are stored by their raw entries: ``True``,
+        ``1`` and ``1.0`` compare equal to each other, so storing any other
+        list could let a refused value borrow an accepted one. A lookup may
+        try any list, since a ``str`` equals no other JSON value; one with an
+        unhashable entry misses.
         """
-        strings = isinstance(values, (list, tuple)) and all(type(v) is str for v in values)
-        if strings:
+        sequence = isinstance(values, (list, tuple))
+        if sequence:
             key = tuple(values)
-            parsed = self._parsed.get(key)
+            try:
+                parsed = self._parsed.get(key)
+            except TypeError:
+                parsed = None
             if parsed is not None:
                 return parsed
+        strings = sequence and all(type(v) is str for v in values)
         try:
             v = vector(values)
         except InputError as exc:
@@ -334,7 +340,7 @@ def tree_market_from_json_dict(doc: Mapping) -> TreeMarket:
     prices: dict[str, list] = {}
     probabilities: dict[str, list] = {}
     for raw in raw_nodes:
-        if not isinstance(raw, Mapping):
+        if type(raw) is not dict and not isinstance(raw, Mapping):
             raise InputError("each node must be a JSON object")
         try:
             node_id = raw["id"]

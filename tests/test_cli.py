@@ -347,6 +347,51 @@ def test_values_too_long_to_print_exit_3(tmp_path, capsys):
             )
 
 
+def test_kkl_json_report_leaves_dt_unformatted(capsys):
+    # dt = horizon / 11 is one digit too long to print, and only the human
+    # report shows it: --json exits 0 (it exited 3 while both modes formatted dt)
+    argv = ["kkl", "--s0", "1", "--lambda", "1", "--eta", "1", "--steps", "11",
+            "--horizon", "1e-4299"]
+    code, doc = run_json(capsys, argv + ["--json"])
+    assert code == 0 and doc["params"]["horizon"] == "1/1" + "0" * 4299
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("over the limit of 4300 decimal digits\n")
+
+
+def test_json_reports_build_no_human_lines(tmp_path, capsys, monkeypatch):
+    from martpoly import cli
+
+    def refuse(v):
+        raise AssertionError("a --json report formatted a human line")
+
+    monkeypatch.setattr(cli, "_fmt_vec", refuse)
+    monkeypatch.setattr(cli, "_describe_supports", refuse)
+    market = write_doc(tmp_path, "m.json", EX4_DOC)
+    tree = write_doc(tmp_path, "t.json", {
+        "assets": 1, "rates": ["0"],
+        "nodes": [
+            {"id": "r", "time": 0, "children": ["u", "m", "d"], "prices": ["1"]},
+            {"id": "u", "time": 1, "children": [], "prices": ["2"]},
+            {"id": "m", "time": 1, "children": [], "prices": ["1"]},
+            {"id": "d", "time": 1, "children": [], "prices": ["1/2"]},
+        ],
+    })
+    for argv in (
+        ["analyze", market],
+        ["generators", market],
+        ["bounds", market, "--payoff", "1,0,0,0"],
+        ["complete", market, "--apply", str(tmp_path / "out.json")],
+        ["tree", "complete", tree],
+    ):
+        assert main(argv + ["--json"]) == 0, argv
+        capsys.readouterr()
+        # the human report does format them
+        with pytest.raises(AssertionError, match="human line"):
+            main(argv)
+
+
 def test_kkl_not_viable_still_reports(capsys):
     code, doc = run_json(
         capsys,
@@ -516,6 +561,7 @@ JSON_DOCUMENTS = st.recursive(
 @given(JSON_DOCUMENTS)
 @example([[], {}, [[]], {"": {}}])
 @example({"b": -(10**50), "a": [True, False, None], "\u00e9": "\ud83d\ude00"})
+@example({"a": [[[1, "x", [True, []], {"k": [2]}]]], "b": [[]], "c": {"d": {}}})
 def test_json_text_matches_json_dumps(document):
     assert _json_text(document) == json.dumps(document, sort_keys=True, indent=2)
 

@@ -48,7 +48,7 @@ from martpoly import (
     write_surface_csv,
 )
 from martpoly import cli, models
-from martpoly.models import EmmParameter, LatticeValues, kkl_grid_size
+from martpoly.models import EmmParameter, LatticeValues, NodeWeights, kkl_grid_size
 from martpoly.rationals import RationalLike, rat
 from util import random_viable_trinomial
 
@@ -905,19 +905,48 @@ def test_layer_reduction_matches_fraction(data):
     assert seen == len(values)
 
 
+def assert_layers_reduce(values: LatticeValues, layers, scale, denominator):
+    steps = len(layers) - 1
+    for t, low, reduced in values.layers():
+        for (n, d), raw in zip(reduced, layers[t], strict=True):
+            expected = Fraction(raw, scale * denominator ** (steps - t))
+            assert (n, d) == (expected.numerator, expected.denominator), (t, raw)
+
+
 def test_layer_reduction_on_named_scales():
-    # T = 1, D = 1, pure powers of 2, and T sharing an odd prime with D
-    for scale, denominator in ((1, 1), (1, 2**5), (2**7, 1), (125, 5 * 701), (3, 3)):
-        steps = 6
-        layers = [
-            [(-1) ** j * (5 * 701 * 2) ** j * (j + t + 1) for j in range(2 * t + 1)]
-            for t in range(steps + 1)
-        ]
-        values = LatticeValues(steps, layers, scale, denominator)
-        for t, low, reduced in values.layers():
-            for (n, d), raw in zip(reduced, layers[t], strict=True):
-                expected = Fraction(raw, scale * denominator ** (steps - t))
-                assert (n, d) == (expected.numerator, expected.denominator)
+    # T = 1, D = 1, pure powers of 2, T sharing an odd prime with D, and
+    # D_odd = 1 under an odd T; one step has only layers with e = 0 and e = 1,
+    # where the first probe is the whole odd scale
+    for scale, denominator in ((1, 1), (1, 2**5), (2**7, 1), (125, 5 * 701), (3, 3),
+                               (2**3 * 125, 2**10)):
+        for steps in (1, 6):
+            layers = [
+                [(-1) ** j * (5 * 701 * 2) ** j * (j + t + 1) for j in range(2 * t + 1)]
+                for t in range(steps + 1)
+            ]
+            values = LatticeValues(steps, layers, scale, denominator)
+            assert_layers_reduce(values, layers, scale, denominator)
+
+
+@pytest.mark.parametrize(
+    "s0, lam, eta, rate, emm_p, weight_denominator",
+    [
+        # T_odd = 125 shares the prime 5 with D = 3,505 = 5 * 701
+        (3, "1/30", "1/50", "1/7", "2/5", 3505),
+        # D = 16,814 = 2 * 7 * 1,201: values carry many powers of D_odd
+        (2, "1/32", "1/40", "1/12", "3/7", 16814),
+    ],
+)
+def test_layer_reduction_on_lattices_sharing_primes(s0, lam, eta, rate, emm_p,
+                                                    weight_denominator):
+    params = kkl_params(s0=s0, lam=lam, eta=eta, rate=rate, steps=100)
+    weights = kkl_node_weights(params, emm_p)
+    assert weights.denominator == weight_denominator
+    result = kkl_perturb_terminal(params, Fraction(1, 1000), 3, weights)
+    values = result.surface.values
+    scale = math.lcm(*(v.denominator for v in result.terminal.values()))
+    # the surface's integer layers, read for the oracle
+    assert_layers_reduce(values, values._layers, scale, weights.denominator)
 
 
 def test_write_surface_csv_refuses_a_value_too_long_to_print():
@@ -939,6 +968,16 @@ def test_write_surface_csv_refuses_a_value_too_long_to_print():
     lines = stream.getvalue().splitlines()
     assert lines[0] == "t,k,value" and lines[1] == f"0,2,{root}"
     assert len(lines) == 1 + len(surface.values)
+
+
+def test_write_surface_csv_writes_each_value_of_the_surface():
+    # D = 2 * 7 * 11^2 gives the layers many distinct denominators
+    params = kkl_params(s0=3, lam="1/32", eta="1/40", rate="1/12", steps=10)
+    result = kkl_perturb_terminal(params, Fraction(1, 1000), 3, Fraction(3, 7))
+    stream = io.StringIO()
+    write_surface_csv(result.surface, stream)
+    expected = ["t,k,value"] + [f"{t},{k},{v}" for (t, k), v in result.surface.values.items()]
+    assert stream.getvalue().splitlines() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -992,15 +1031,95 @@ def test_bad_node_parameter_is_reported_at_the_first_node_using_it():
 
 def test_kkl_builds_its_node_measures_once(monkeypatch, capsys):
     built = []
-    node_emm = models.kkl_node_emm
+    node_weights = models.kkl_node_weights
 
-    def counted(params, k, p):
-        built.append(k)
-        return node_emm(params, k, p)
+    def counted(params, emm_p=Fraction(1, 2)):
+        built.append(params.steps)
+        return node_weights(params, emm_p)
 
-    monkeypatch.setattr(models, "kkl_node_emm", counted)
+    monkeypatch.setattr(models, "kkl_node_weights", counted)
     argv = ["kkl", "--s0", "2", "--lambda", "1/16", "--eta", "1/16", "--steps", "6",
             "--epsilon", "1/1000", "--json"]
     assert cli.main(argv) == 0
-    # one measure per branching state, for the put and the perturbation together
-    assert sorted(built) == list(range(1, 2 + 6))
+    # one build serves the put and every perturbation attempt
+    assert built == [6]
+
+
+def fraction_node_weights(params, emm_p: EmmParameter = Fraction(1, 2)) -> NodeWeights:
+    """Oracle: node weights from the Fraction closed forms, times the Fraction discount."""
+    if not kkl_viability(params):
+        raise NotViableError(
+            "no equivalent node measures: horizon * |rate| * (s0 + steps - 1) >= steps"
+        )
+    levels = kkl_grid(params)
+    fixed = None if callable(emm_p) else rat(emm_p)
+    discount = 1 / (1 + params.step_rate)
+    weights: list[tuple[Fraction, ...]] = []
+    weight_index: dict[object, int] = {}
+    layers: list[tuple[int, ...]] = []
+    for t in reversed(range(params.steps)):
+        row: list[int] = []
+        for k in levels[t]:
+            if k == 0:
+                continue
+            if fixed is None:
+                p = rat(emm_p(t, k))
+                key: object = (k, p)
+            else:
+                p = fixed
+                key = k
+            index = weight_index.get(key)
+            if index is None:
+                index = weight_index[key] = len(weights)
+                weights.append(tuple(discount * x for x in kkl_node_emm(params, k, p)))
+            row.append(index)
+        layers.append(tuple(row))
+    denominator = math.lcm(
+        discount.denominator, *(w.denominator for q in weights for w in q)
+    )
+    return NodeWeights(
+        params=params,
+        denominator=denominator,
+        absorbed=discount.numerator * (denominator // discount.denominator),
+        weights=tuple(
+            tuple(w.numerator * (denominator // w.denominator) for w in q) for q in weights
+        ),
+        layers=tuple(layers),
+    )
+
+
+@st.composite
+def rate_lattices(draw):
+    """Viable lattices whose rate runs from below 0 up to either side of the bound."""
+    s0 = draw(st.integers(1, 8))
+    steps = draw(st.integers(1, 30))
+    horizon = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 5)))
+    top = s0 + steps - 1
+    total = Fraction(draw(st.integers(1, 63)), 64) * steps / (top * horizon)
+    split = Fraction(draw(st.integers(1, 15)), 16)
+    # |rate| * horizon * top / steps = share < 1, as close to 1 as 999/1000
+    denominator = draw(st.integers(1, 1000))
+    share = Fraction(draw(st.integers(0, denominator - 1)), denominator)
+    sign = draw(st.sampled_from([-1, 0, 1]))
+    return kkl_params(
+        s0=s0, lam=total * split, eta=total * (1 - split),
+        rate=sign * share * steps / (top * horizon), horizon=horizon, steps=steps,
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rate_lattices(), node_parameters())
+def test_node_weights_match_the_fraction_closed_forms(params, emm_p):
+    assert kkl_node_weights(params, emm_p) == fraction_node_weights(params, emm_p)
+
+
+def test_node_weights_match_the_fraction_closed_forms_at_the_bounds():
+    for rate in ("-99/100", "-1/3", 0, "1/3", "99/100", "-1e-30", "1e-30"):
+        params = kkl_params(s0=1, lam="1/4", eta="1/4", rate=rate, steps=1)
+        for emm_p in ("1/2", "1/1000", "999/1000"):
+            assert kkl_node_weights(params, emm_p) == fraction_node_weights(params, emm_p)
+    # rates just inside the viability bound |rate| * 9 / 6 < 1 at the top state
+    for rate in ("-665/1000", "665/1000"):
+        params = kkl_params(s0=4, lam="1/64", eta="1/64", rate=rate, horizon=1, steps=6)
+        assert kkl_viability(params)
+        assert kkl_node_weights(params, "2/5") == fraction_node_weights(params, "2/5")

@@ -554,3 +554,24 @@ def test_refused_values_stay_refused_after_an_equal_accepted_one(tmp_path, capsy
             assert main(["tree", "analyze", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: node 'd' prices: cannot interpret ")
+
+
+@pytest.mark.parametrize(
+    "earlier, later, message",
+    [
+        # a string field is not looked up as a list of its characters
+        (["1"], "1", "node 'd' prices: expected a list of rationals, got '1'"),
+        # a nested list is unhashable as a lookup key, and misses
+        (["1"], [["1"]], "node 'd' prices: cannot interpret ['1'] as an exact rational"),
+        (["1", "2"], ["1", ["2"]],
+         "node 'd' prices: cannot interpret ['2'] as an exact rational"),
+        # [true] misses the stored ("1",), since a str equals no other JSON value
+        (["1"], [True], "node 'd' prices: cannot interpret True as an exact rational"),
+    ],
+)
+def test_values_looked_up_by_their_raw_entries_are_still_refused(earlier, later, message):
+    doc = one_step_tree({"prices": earlier}, {"prices": later}, assets=len(earlier))
+    doc["nodes"][1]["prices"] = earlier  # node u, parsed before d
+    with pytest.raises(InputError) as refused:
+        tree_market_from_json_dict(doc)
+    assert str(refused.value) == message
