@@ -106,14 +106,26 @@ def _max_outcomes(args: argparse.Namespace) -> int:
     return value
 
 
-def _json_text(document: object) -> str:
+# A tree report's entries hold this as their "node" and "time" until
+# _json_text splices each node's own values in. A tree report's other strings
+# are keys and rationals, so its rendering, '"\\u0000"', marks the holes alone.
+_HOLE = "\x00"
+
+
+def _json_text(document: object, nodes: Sequence[tuple[int, str]] = ()) -> str:
     """The text of ``json.dumps(document, sort_keys=True, indent=2)``.
 
     Covers what the commands emit: dicts with ``str`` keys, lists, ``str``,
-    ``int``, ``bool`` and ``None``; any other type raises ``TypeError``. Each
-    list and dict is rendered once per depth in a call, keyed by its id:
-    the document keeps every object alive for the call, so an id names one
-    object, and a fragment the document holds at many places is reused.
+    ``int``, ``bool`` and ``None``; any other type raises ``TypeError``. A
+    list of ``str`` and ``int`` items only is rendered where it stands. Every
+    other list and dict is rendered once per depth in a call, keyed by its
+    id: the document keeps every object alive for the call, so an id names
+    one object, and a fragment the document holds at many places is reused.
+
+    ``nodes`` fills the holes of a tree report, whose nodes share one entry
+    per distinct plan or record with ``_HOLE`` as its "node" and "time": the
+    i-th (time, node id) pair goes into the i-th entry listed, so each entry
+    is rendered once and a node costs only its escaped id and its time.
     """
     memo: dict[tuple[int, int], str] = {}
     # breaks[d] is a newline and depth d's indent, added as depths are reached
@@ -130,6 +142,17 @@ def _json_text(document: object) -> str:
             return "false"
         if type(obj) is int:
             return int.__repr__(obj)
+        if type(obj) is list:
+            items = []
+            for x in obj:
+                if type(x) is str:
+                    items.append(encode_basestring_ascii(x))
+                elif type(x) is int:
+                    items.append(int.__repr__(x))
+                else:
+                    break
+            else:
+                return wrap(items, depth, "[]")
         key = (id(obj), depth)
         text = memo.get(key)
         if text is None:
@@ -138,45 +161,51 @@ def _json_text(document: object) -> str:
 
     def container(obj: object, depth: int) -> str:
         inner = depth + 1
-        if len(breaks) <= inner:  # a parent has added breaks[depth] already
-            breaks.append(breaks[-1] + "  ")
         if type(obj) is list:
-            if not obj:
-                return "[]"
-            items = [
-                encode_basestring_ascii(x) if type(x) is str
-                else int.__repr__(x) if type(x) is int
-                else value(x, inner)
-                for x in obj
-            ]
-            brackets = "[]"
-        elif type(obj) is dict:
-            if not obj:
-                return "{}"
+            return wrap([value(x, inner) for x in obj], depth, "[]")
+        if type(obj) is dict:
             if any(type(k) is not str for k in obj):
                 raise TypeError("JSON object keys must be str")
             items = [
                 f"{encode_basestring_ascii(k)}: {value(v, inner)}"
                 for k, v in sorted(obj.items())
             ]
-            brackets = "{}"
-        else:
-            raise TypeError(f"cannot render a {type(obj).__name__} as JSON")
+            return wrap(items, depth, "{}")
+        raise TypeError(f"cannot render a {type(obj).__name__} as JSON")
+
+    def wrap(items: list[str], depth: int, brackets: str) -> str:
+        if not items:
+            return brackets
+        inner = depth + 1
+        while len(breaks) <= inner:
+            breaks.append(breaks[-1] + "  ")
         indent = breaks[inner]
         return brackets[0] + indent + ("," + indent).join(items) + breaks[depth] + brackets[1]
 
-    return value(document, 0)
+    text = value(document, 0)
+    if not nodes:
+        return text
+    # an entry's "node" sorts before its "time", so the holes alternate
+    pieces = text.split(encode_basestring_ascii(_HOLE))
+    out = [pieces[0]]
+    for (time, node), between, after in zip(nodes, pieces[1::2], pieces[2::2], strict=True):
+        out += (encode_basestring_ascii(node), between, int.__repr__(time), after)
+    return "".join(out)
 
 
 def _emit(
-    args: argparse.Namespace, document: dict, human: Callable[[], list[str]]
+    args: argparse.Namespace,
+    document: dict,
+    human: Callable[[], list[str]],
+    nodes: Sequence[tuple[int, str]] = (),
 ) -> None:
     """Print the report: ``document`` as indented JSON under --json, else ``human()``.
 
-    The human lines are built only when they are printed.
+    ``nodes`` fills a tree report's holes (see ``_json_text``). The human
+    lines are built only when they are printed.
     """
     if args.json:
-        print(_json_text(document))
+        print(_json_text(document, nodes))
     else:
         for line in human():
             print(line)
@@ -320,25 +349,23 @@ def cmd_complete(args: argparse.Namespace) -> int:
 def cmd_tree_analyze(args: argparse.Namespace) -> int:
     tm = multiperiod.tree_market_from_json_dict(_load_json(args.path))
     report = multiperiod.analyze_tree(tm, max_outcomes=_max_outcomes(args))
-    # components that share a record share its generator strings
-    records = {id(r.characterization): r.characterization for r in report.components}
-    generators = {
-        key: [_vec_strings(g) for g in char.generators] for key, char in records.items()
+    # one entry per distinct record, shared by its components (see _json_text)
+    records = {id(r.characterization): r for r in report.components}
+    entries = {
+        key: {
+            "time": _HOLE,
+            "node": _HOLE,
+            "outcomes": r.component.market.outcomes,
+            "viable": r.viable,
+            "complete": r.complete,
+            "generators": [_vec_strings(g) for g in r.characterization.generators],
+        }
+        for key, r in records.items()
     }
     doc = {
         "viable": report.viable,
         "complete": report.complete,
-        "components": [
-            {
-                "time": r.component.time,
-                "node": r.component.node_id,
-                "outcomes": r.component.market.outcomes,
-                "viable": r.viable,
-                "complete": r.complete,
-                "generators": generators[id(r.characterization)],
-            }
-            for r in report.components
-        ],
+        "components": [entries[id(r.characterization)] for r in report.components],
     }
 
     def human() -> list[str]:
@@ -351,22 +378,21 @@ def cmd_tree_analyze(args: argparse.Namespace) -> int:
             for r in report.components
         ]
 
-    _emit(args, doc, human)
+    nodes = [(r.component.time, r.component.node_id) for r in report.components]
+    _emit(args, doc, human, nodes)
     return EXIT_OK
 
 
 def cmd_tree_complete(args: argparse.Namespace) -> int:
     tm = multiperiod.tree_market_from_json_dict(_load_json(args.path))
     plans = multiperiod.complete_tree(tm, max_outcomes=_max_outcomes(args))
-    # components that share a plan share its fragment, rendered once
+    # one entry per distinct plan, shared by its components (see _json_text)
     distinct = {id(p.plan): p.plan for p in plans}
-    fragments = {key: _plan_document(plan) for key, plan in distinct.items()}
-    doc = {
-        "plans": [
-            {"time": p.time, "node": p.node_id, **fragments[id(p.plan)]}
-            for p in plans
-        ]
+    entries = {
+        key: {"time": _HOLE, "node": _HOLE, **_plan_document(plan)}
+        for key, plan in distinct.items()
     }
+    doc = {"plans": [entries[id(p.plan)] for p in plans]}
 
     def human() -> list[str]:
         if not plans:
@@ -377,7 +403,7 @@ def cmd_tree_complete(args: argparse.Namespace) -> int:
             lines.append(f"  t={p.time} node={p.node_id}: add {rows}")
         return lines
 
-    _emit(args, doc, human)
+    _emit(args, doc, human, [(p.time, p.node_id) for p in plans])
     return EXIT_OK
 
 

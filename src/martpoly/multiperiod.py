@@ -5,12 +5,18 @@ time, its children are the states it can refine into one step later. Between
 a node and its children sits an ordinary one-period market, the node's
 component, and the whole tree is arbitrage-free (complete) exactly when all
 components are.
+
+The per-node records, ``TreeNode``, ``Component``, ``ComponentReport`` and
+``TreeCompletion``, are named tuples, built once per node at a tuple's cost:
+immutable and hashable, with named fields. Like any tuple they also unpack
+and index by position, and equal a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import CompletionPlan, EmmCharacterization, _plan_from_record, characterize
 from .analysis import complete_market  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
@@ -22,8 +28,7 @@ from .rationals import Matrix, RationalLike, Vector, format_rational, vector
 from .rationals import rank  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     id: str
     time: int
     children: tuple[str, ...]
@@ -205,8 +210,7 @@ class _DocumentValues:
         return tuple(self._interned.setdefault(x, x) for x in self.vector(values, field))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """The one-period submarket between a node and its children."""
 
     time: int
@@ -228,11 +232,13 @@ def components(tm: TreeMarket) -> tuple[Component, ...]:
     markets: dict[tuple, OnePeriodMarket] = {}
     out: list[Component] = []
     prices, rates, probabilities = tm.prices, tm.rates, tm.branch_probabilities
-    for node in tm.tree.internal_nodes():
-        probs = None if probabilities is None else probabilities[node.id]
-        kid_prices = tuple(prices[kid] for kid in node.children)
-        rate, spot = rates[node.time], prices[node.id]
-        key = (id(rate), id(spot), tuple(map(id, kid_prices)), id(probs))
+    for node_id, time, children in tm.tree.nodes:
+        if not children:
+            continue
+        probs = None if probabilities is None else probabilities[node_id]
+        kid_prices = [prices[kid] for kid in children]
+        rate, spot = rates[time], prices[node_id]
+        key = (id(rate), id(spot), id(probs), *map(id, kid_prices))
         market = markets.get(key)
         if market is None:
             market = markets[key] = OnePeriodMarket(
@@ -241,12 +247,11 @@ def components(tm: TreeMarket) -> tuple[Component, ...]:
                 payoffs=Matrix(kid_prices, tm.assets).transpose(),
                 probabilities=probs,
             )
-        out.append(Component(time=node.time, node_id=node.id, market=market))
+        out.append(Component(time, node_id, market))
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     component: Component
     characterization: EmmCharacterization
     viable: bool
@@ -266,24 +271,26 @@ def analyze_tree(
     """Aggregate verdicts: the tree passes exactly when every component does.
 
     Each distinct component market is characterized once: components that
-    share a market object (see ``components``) share its record.
+    share a market object (see ``components``) share its record, and the
+    tree's verdicts are read off the distinct records.
     """
-    chars: dict[int, EmmCharacterization] = {}
+    # market id -> (record, viable, complete), one per distinct market
+    verdicts: dict[int, tuple[EmmCharacterization, bool, bool]] = {}
     reports: list[ComponentReport] = []
     for comp in components(tm):
-        char = chars.get(id(comp.market))
-        if char is None:
-            char = chars[id(comp.market)] = characterize(comp.market, max_outcomes=max_outcomes)
-        reports.append(ComponentReport(comp, char, char.emm_exists, char.complete))
+        verdict = verdicts.get(id(comp.market))
+        if verdict is None:
+            char = characterize(comp.market, max_outcomes=max_outcomes)
+            verdict = verdicts[id(comp.market)] = (char, char.emm_exists, char.complete)
+        reports.append(ComponentReport(comp, *verdict))
     return TreeReport(
-        viable=all(r.viable for r in reports),
-        complete=all(r.complete for r in reports),
+        viable=all(viable for _, viable, _ in verdicts.values()),
+        complete=all(complete for _, _, complete in verdicts.values()),
         components=tuple(reports),
     )
 
 
-@dataclass(frozen=True)
-class TreeCompletion:
+class TreeCompletion(NamedTuple):
     time: int
     node_id: str
     plan: CompletionPlan
@@ -304,16 +311,13 @@ def complete_tree(
         raise NotViableError("only arbitrage-free trees can be completed")
     plans: dict[int, CompletionPlan] = {}
     out: list[TreeCompletion] = []
-    for comp_report in report.components:
-        if comp_report.complete:
+    for comp, char, _, complete in report.components:
+        if complete:
             continue
-        comp = comp_report.component
-        plan = plans.get(id(comp.market))
+        plan = plans.get(id(char))
         if plan is None:
-            plan = plans[id(comp.market)] = _plan_from_record(
-                comp.market, comp_report.characterization, None
-            )
-        out.append(TreeCompletion(time=comp.time, node_id=comp.node_id, plan=plan))
+            plan = plans[id(char)] = _plan_from_record(comp.market, char, None)
+        out.append(TreeCompletion(comp.time, comp.node_id, plan))
     return tuple(out)
 
 
@@ -353,9 +357,12 @@ def tree_market_from_json_dict(doc: Mapping) -> TreeMarket:
         if isinstance(time, bool) or not isinstance(time, int):
             raise InputError(f"node {quoted(node_id)}: time must be an integer")
         children = raw.get("children", [])
-        if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
+        if not isinstance(children, list):
             raise InputError(f"node {quoted(node_id)}: children must be a list of ids")
-        nodes.append(TreeNode(id=node_id, time=time, children=tuple(children)))
+        for child in children:  # a loop costs a node less than all() over a generator
+            if not isinstance(child, str):
+                raise InputError(f"node {quoted(node_id)}: children must be a list of ids")
+        nodes.append(TreeNode(node_id, time, tuple(children)))
         prices[node_id] = node_prices
         if "probabilities" in raw:
             probabilities[node_id] = raw["probabilities"]

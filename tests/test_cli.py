@@ -1,13 +1,16 @@
 """Command line behaviour: exit codes, JSON round trips, artifacts."""
 
+import io
 import json
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from martpoly import MartingaleSystem, models, parse_rational
+from martpoly import MartingaleSystem, models, multiperiod, parse_rational
 from martpoly.cli import _json_text, main
 
 
@@ -562,6 +565,7 @@ JSON_DOCUMENTS = st.recursive(
 @example([[], {}, [[]], {"": {}}])
 @example({"b": -(10**50), "a": [True, False, None], "\u00e9": "\ud83d\ude00"})
 @example({"a": [[[1, "x", [True, []], {"k": [2]}]]], "b": [[]], "c": {"d": {}}})
+@example({"pairs": [[0, 1], [2, "x"], [True, 0], [0, None], []]})
 def test_json_text_matches_json_dumps(document):
     assert _json_text(document) == json.dumps(document, sort_keys=True, indent=2)
 
@@ -578,17 +582,17 @@ def test_json_text_refuses_other_types(value):
         _json_text({"value": [value]})
 
 
-def test_tree_reports_share_each_records_fragments(tmp_path, monkeypatch):
-    """Components with one record or plan hold its JSON lists as one object."""
+def test_tree_reports_share_each_records_fragments(tmp_path, monkeypatch, capsys):
+    """A record or plan that components share is rendered once per report."""
     from martpoly import cli
 
-    documents = []
+    encoded = Counter()
 
-    def capture(document):
-        documents.append(document)
-        return json.dumps(document, sort_keys=True, indent=2)
+    def counting(text):
+        encoded[text] += 1
+        return json.encoder.encode_basestring_ascii(text)
 
-    monkeypatch.setattr(cli, "_json_text", capture)
+    monkeypatch.setattr(cli, "encode_basestring_ascii", counting)
     # the root, and then nodes a, b and c alike, are incomplete trinomial markets
     nodes = [{"id": "r", "time": 0, "children": ["a", "b", "c"], "prices": ["1"]}]
     for node in "abc":
@@ -598,14 +602,112 @@ def test_tree_reports_share_each_records_fragments(tmp_path, monkeypatch):
             {"id": kid, "time": 2, "prices": [price]} for kid, price in zip(kids, ["1/2", "1", "2"])
         ]
     path = write_doc(tmp_path, "tree.json", {"assets": 1, "rates": ["0", "0"], "nodes": nodes})
-    assert main(["tree", "analyze", path, "--json"]) == 0
-    assert main(["tree", "complete", path, "--json"]) == 0
-    analyzed, completed = documents
-    root, *shared = analyzed["components"]
-    assert [c["node"] for c in shared] == ["a", "b", "c"]
-    assert all(c["generators"] is shared[0]["generators"] for c in shared)
-    assert root["generators"] is not shared[0]["generators"]
-    root_plan, *plans = completed["plans"]
-    assert [p["node"] for p in plans] == ["a", "b", "c"]
-    for field in ("added_rows", "price_map", "weights", "prices", "outcome_support"):
-        assert all(p[field] is plans[0][field] for p in plans)
+    for command, key, field in (("analyze", "components", "generators"),
+                                ("complete", "plans", "added_rows")):
+        encoded.clear()
+        code, report = run_json(capsys, ["tree", command, path, "--json"])
+        assert code == 0
+        assert [entry["node"] for entry in report[key]] == ["r", "a", "b", "c"]
+        # one entry rendered for the root's record or plan, one for the shared one
+        assert encoded[field] == 2
+        assert all(encoded[node] == 1 for node in "rabc")
+
+
+# node ids that JSON escapes, or that equal the renderer's own hole marker
+NODE_IDS = st.text(max_size=4) | st.sampled_from(
+    ['"', "\\", "\x00", "\x01\x1f\x7f", "\u00e9\u4e2d\U0001f600", "\u2028"]
+)
+
+
+# prices of one node's leaf children: viable at rate 0 (spot 1), and not at 1/2
+# for "1" alone or repeated
+LEAF_PRICES = [["1"], ["1/2", "2"], ["1", "1"], ["1/2", "1", "2"], ["2", "1", "1/2"]]
+
+
+@st.composite
+def tree_documents(draw):
+    """A chain of `chain` single-child nodes, then a full subtree of random
+    depth and fan-out; every node but a leaf has price 1. So times reach past
+    100, and components share markets, are complete or are not viable."""
+    chain = draw(st.sampled_from([0, 0, 1, 12, 120]))
+    depth = draw(st.integers(0, 3))
+    nodes = [{"id": f"chain {t}", "time": t, "children": [f"chain {t + 1}"], "prices": ["1"]}
+             for t in range(chain)]
+    root = draw(NODE_IDS)
+    if chain:
+        nodes[-1]["children"] = [root]
+    used = {root} | {node["id"] for node in nodes}
+    frontier = [{"id": root, "time": chain, "children": [], "prices": ["1"]}]
+    for level in range(depth):
+        nodes += frontier
+        children = []
+        for parent in frontier:
+            if level == depth - 1:
+                prices = draw(st.sampled_from(LEAF_PRICES))
+            else:
+                prices = ["1"] * draw(st.integers(1, 3))
+            for price in prices:
+                node_id = draw(NODE_IDS)
+                while node_id in used:
+                    node_id += str(len(used))
+                used.add(node_id)
+                parent["children"].append(node_id)
+                children.append({"id": node_id, "time": parent["time"] + 1, "children": [],
+                                 "prices": [price]})
+        frontier = children
+    nodes += frontier
+    rates = ["0"] * chain + draw(st.lists(st.sampled_from(["0", "0", "0", "1/2"]),
+                                          min_size=depth, max_size=depth))
+    return {"assets": 1, "rates": rates, "nodes": nodes}
+
+
+BINARY_TREE = {
+    "assets": 1,
+    "rates": ["0"],
+    "nodes": [{"id": "\u2028", "time": 0, "children": ["\x00", '"'], "prices": ["1"]},
+              {"id": "\x00", "time": 1, "prices": ["2"]},
+              {"id": '"', "time": 1, "prices": ["1/2"]}],
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(tree_documents())
+@example({"assets": 1, "rates": [], "nodes": [{"id": "r", "time": 0, "prices": ["1"]}]})
+@example(BINARY_TREE)  # complete: "plans": []
+@example({**BINARY_TREE, "rates": ["2"]})  # not viable
+def test_tree_reports_match_json_dumps_of_their_documents(tmp_path_factory, doc):
+    """Spliced per-node entries give the bytes of the per-node document."""
+    from martpoly.cli import _plan_document, _vec_strings
+
+    path = write_doc(tmp_path_factory.mktemp("tree"), "tree.json", doc)
+    tm = multiperiod.tree_market_from_json_dict(doc)
+    report = multiperiod.analyze_tree(tm)
+    analyzed = {
+        "viable": report.viable,
+        "complete": report.complete,
+        "components": [
+            {
+                "time": r.component.time,
+                "node": r.component.node_id,
+                "outcomes": r.component.market.outcomes,
+                "viable": r.viable,
+                "complete": r.complete,
+                "generators": [_vec_strings(g) for g in r.characterization.generators],
+            }
+            for r in report.components
+        ],
+    }
+    expected = [(0, analyzed)]
+    if report.viable:
+        plans = multiperiod.complete_tree(tm)
+        completed = {"plans": [{"time": p.time, "node": p.node_id, **_plan_document(p.plan)}
+                               for p in plans]}
+        expected.append((0, completed))
+    else:
+        expected.append((4, None))
+    for command, (code, document) in zip(("analyze", "complete"), expected):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert main(["tree", command, path, "--json"]) == code
+        text = "" if document is None else json.dumps(document, sort_keys=True, indent=2) + "\n"
+        assert out.getvalue() == text

@@ -3,7 +3,7 @@
 import json
 import random
 from contextlib import suppress
-from dataclasses import replace
+from dataclasses import make_dataclass, replace
 from fractions import Fraction
 from itertools import product
 
@@ -11,10 +11,13 @@ import pytest
 
 from martpoly import analysis, multiperiod
 from martpoly import (
+    Component,
+    ComponentReport,
     EventTree,
     InputError,
     NotViableError,
     OnePeriodMarket,
+    TreeCompletion,
     TreeMarket,
     TreeNode,
     analyze_tree,
@@ -114,6 +117,49 @@ def test_trinomial_tree_viable_not_complete():
     assert report.viable
     assert not report.complete
     assert all(r.viable and not r.complete for r in report.components)
+
+
+@pytest.mark.parametrize("node", ["ruu", "rud", "rdd"])
+@pytest.mark.parametrize("viable", [False, True])
+def test_tree_verdicts_hold_over_every_component_when_one_fails(node, viable):
+    """Read off the distinct records, the verdicts still need every component."""
+    tm = binomial_tree(3)
+    spot = tm.prices[node][0]
+    # both children below the spot admit no measure; both at it admit all
+    prices = dict(tm.prices)
+    for child in tm.tree.node(node).children:
+        prices[child] = (spot if viable else spot / 2,)
+    report = analyze_tree(TreeMarket(tm.tree, 1, prices, tm.rates))
+    failing = [r.component.node_id for r in report.components if not r.complete]
+    assert failing == [node]
+    assert report.viable is all(r.viable for r in report.components) is viable
+    assert report.complete is all(r.complete for r in report.components) is False
+
+
+def test_per_node_records_keep_the_frozen_dataclass_contract():
+    """Named tuples with the fields, order, immutability, hash and repr of the
+    frozen dataclasses they replaced."""
+    tm = trinomial_tree(1)
+    report = analyze_tree(tm)
+    fields = {
+        TreeNode: ("id", "time", "children"),
+        Component: ("time", "node_id", "market"),
+        ComponentReport: ("component", "characterization", "viable", "complete"),
+        TreeCompletion: ("time", "node_id", "plan"),
+    }
+    records = [tm.tree.nodes[0], report.components[0].component, report.components[0],
+               complete_tree(tm)[0]]
+    assert [type(r) for r in records] == list(fields)
+    for record in records:
+        cls = type(record)
+        assert cls._fields == fields[cls]
+        twin = make_dataclass(cls.__name__, cls._fields, frozen=True)(*record)
+        assert repr(record) == repr(twin)
+        assert hash(record) == hash(twin)
+        assert {record, cls(*record)} == {record}
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_all_children_above_grown_price_kills_viability():
