@@ -71,14 +71,22 @@ class PriceBounds:
     """Extremes of the discounted payoff value over the generators.
 
     An endpoint is attained by an equivalent measure exactly when the
-    generators achieving it jointly put mass on every outcome; otherwise the
-    price interval is open at that end.
+    interval is a single point (a replicable payoff); otherwise it is open
+    at both ends. On a viable market the equivalent measures are the
+    relative interior of the measure polytope, and a linear value reaches
+    its extreme there only if it is constant on the whole polytope.
     """
 
     low: Fraction
     high: Fraction
-    low_attained_by_emm: bool
-    high_attained_by_emm: bool
+
+    @property
+    def low_attained_by_emm(self) -> bool:
+        return self.low == self.high
+
+    @property
+    def high_attained_by_emm(self) -> bool:
+        return self.low == self.high
 
 
 @dataclass(frozen=True)
@@ -172,47 +180,31 @@ def price_bounds(
     *,
     max_outcomes: int = DEFAULT_MAX_OUTCOMES,
 ) -> PriceBounds:
-    """Range of arbitrage-free prices of a payoff on a viable market."""
+    """Range of arbitrage-free prices of a payoff on a viable market.
+
+    Closed at both ends exactly when the payoff is replicable (a single
+    price); otherwise open at both ends.
+    """
     c = vector(payoff)
     if len(c) != mkt.outcomes:
         raise InputError(f"payoff has {len(c)} entries for {mkt.outcomes} outcomes")
     char = characterize(mkt, max_outcomes=max_outcomes)
     if not char.emm_exists:
         raise NotViableError("price bounds are undefined without an equivalent measure")
-    values = [dot(c, g) for g in char.generators]
-    return bounds_from_values(values, char.generators.supports, mkt.outcomes, 1 + mkt.rate)
+    return bounds_from_values([dot(c, g) for g in char.generators], 1 + mkt.rate)
 
 
-def bounds_from_values(
-    values: Sequence[Fraction],
-    supports: Sequence[Iterable[int]],
-    outcomes: int,
-    discount: Fraction,
-) -> PriceBounds:
-    """Price bounds from each generator's undiscounted value and positive-mass outcomes.
+def bounds_from_values(values: Sequence[Fraction], discount: Fraction) -> PriceBounds:
+    """Price bounds from each generator's undiscounted value of a payoff.
 
     Only the two extreme values are divided by ``discount``; a negative one
-    (a rate below -1) swaps them. An endpoint is attained by an equivalent
-    measure exactly when the generators taking that value jointly cover all
-    ``outcomes``.
+    (a rate below -1) swaps them. Attainment is read off the result, so the
+    values must come from the generators of a viable market.
     """
     least, most = min(values), max(values)
-
-    def attained(target: Fraction) -> bool:
-        covered: set[int] = set()
-        for v, support in zip(values, supports):
-            if v == target:
-                covered.update(support)
-        return len(covered) == outcomes
-
     if discount < 0:
         least, most = most, least
-    return PriceBounds(
-        low=least / discount,
-        high=most / discount,
-        low_attained_by_emm=attained(least),
-        high_attained_by_emm=attained(most),
-    )
+    return PriceBounds(low=least / discount, high=most / discount)
 
 
 def mixture(gens: GeneratorSet, weights: Sequence[Fraction]) -> Vector:

@@ -193,9 +193,7 @@ def trinomial_price_interval(
     c = vector(payoff)
     if len(c) != 3:
         raise InputError(f"payoff needs 3 entries, got {len(c)}")
-    values = [dot(c, g) for g in family.endpoints]
-    supports = [[i for i, x in enumerate(g) if x > 0] for g in family.endpoints]
-    return bounds_from_values(values, supports, 3, 1 + fm.rate)
+    return bounds_from_values([dot(c, g) for g in family.endpoints], 1 + fm.rate)
 
 
 @dataclass(frozen=True)

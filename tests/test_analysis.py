@@ -1,5 +1,6 @@
 """Verdicts, measure checks, price bounds, and market completion."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from martpoly import analysis, geometry, market, rationals
 from martpoly import (
     InputError,
     NotViableError,
+    PriceBounds,
     augmented_matrix,
     apply_completion,
     characterize,
@@ -130,6 +132,17 @@ def test_price_bounds_replicable_claim():
     bounds = price_bounds(TRINOMIAL, row)
     assert bounds.low == bounds.high == TRINOMIAL.spot[0]
     assert bounds.low_attained_by_emm and bounds.high_attained_by_emm
+
+
+def test_price_bounds_reads_attainment_off_the_interval():
+    assert [f.name for f in dataclasses.fields(PriceBounds)] == ["low", "high"]
+    for low, high in ((Fraction(1, 3), Fraction(1, 3)), (Fraction(0), Fraction(1, 3))):
+        bounds = PriceBounds(low, high)
+        assert (bounds.low, bounds.high) == (low, high)
+        assert bounds.low_attained_by_emm is bounds.high_attained_by_emm is (low == high)
+        for flag in ("low_attained_by_emm", "high_attained_by_emm"):
+            with pytest.raises(AttributeError):
+                setattr(bounds, flag, True)
 
 
 def test_price_bounds_bond():
@@ -316,11 +329,20 @@ def test_bounds_sandwich():
         assert bounds.low in values and bounds.high in values
 
 
+def replicable_payoff(rng: random.Random, mkt: market.OnePeriodMarket):
+    """A random integer combination of the bond and the payoff rows."""
+    rows = [[1] * mkt.outcomes] + [list(r) for r in mkt.payoffs.entries]
+    weights = [rng.randint(-3, 3) for _ in rows]
+    return V(*[sum(w * r[i] for w, r in zip(weights, rows)) for i in range(mkt.outcomes)])
+
+
 @pytest.mark.parametrize("rate", ["0", "1/3", "-1/2", "-3/2", "-5"])
 def test_price_bounds_equal_the_bounds_of_every_discounted_value(rate):
     # bounds divide only the extremes: a negative discount (rate below -1)
     # swaps them, and attainment follows the value, not its side
     rng = random.Random(rate)
+    combos = random.Random(f"{rate} replicable")
+    unique_on_incomplete = 0
     for _ in range(25):
         viable = random_viable_market(rng, max_b=6, max_n=2)
         r = Fraction(rate)
@@ -328,52 +350,59 @@ def test_price_bounds_equal_the_bounds_of_every_discounted_value(rate):
         spot = [s * (1 + viable.rate) / (1 + r) for s in viable.spot]
         mkt = market.OnePeriodMarket(rate=r, spot=tuple(spot), payoffs=viable.payoffs)
         char = characterize(mkt)
-        payoff = V(*[rng.randint(-5, 5) for _ in range(mkt.outcomes)])
-        values = [rationals.dot(payoff, g) / (1 + r) for g in char.generators]
+        random_payoff = V(*[rng.randint(-5, 5) for _ in range(mkt.outcomes)])
+        for payoff in (random_payoff, replicable_payoff(combos, mkt)):
+            values = [rationals.dot(payoff, g) / (1 + r) for g in char.generators]
 
-        def attained(target):
-            covered = set()
-            for v, support in zip(values, char.generators.supports):
-                if v == target:
-                    covered.update(support)
-            return len(covered) == mkt.outcomes
+            def attained(target):
+                covered = set()
+                for v, support in zip(values, char.generators.supports):
+                    if v == target:
+                        covered.update(support)
+                return len(covered) == mkt.outcomes
 
-        bounds = price_bounds(mkt, payoff)
-        assert (bounds.low, bounds.high) == (min(values), max(values))
-        assert bounds.low_attained_by_emm == attained(min(values))
-        assert bounds.high_attained_by_emm == attained(max(values))
+            bounds = price_bounds(mkt, payoff)
+            assert (bounds.low, bounds.high) == (min(values), max(values))
+            assert bounds.low_attained_by_emm == attained(min(values))
+            assert bounds.high_attained_by_emm == attained(max(values))
+            unique_on_incomplete += len(char.generators) > 1 and bounds.low == bounds.high
+    # the rule's one non-trivial case: a single price on an incomplete market
+    assert unique_on_incomplete > 0
 
 
 def test_attainability_matches_sampled_mixtures():
     # endpoint attained by an equivalent measure iff some admissible mixture
     # achieves it; search mixtures supported on the endpoint's generators
     rng = random.Random(31)
-    done = 0
-    while done < 30:
+    combos = random.Random(32)
+    unique_on_incomplete = 0
+    for _ in range(30):
         mkt = random_viable_market(rng, max_b=5, max_n=2)
         char = characterize(mkt)
-        done += 1
-        payoff = V(*[rng.randint(-4, 4) for _ in range(mkt.outcomes)])
-        bounds = price_bounds(mkt, payoff)
         discount = 1 + mkt.rate
-        values = [
-            sum(a * b for a, b in zip(payoff, g)) / discount
-            for g in char.generators
-        ]
-        for target, flag in (
-            (bounds.low, bounds.low_attained_by_emm),
-            (bounds.high, bounds.high_attained_by_emm),
-        ):
-            achievers = [j for j, v in enumerate(values) if v == target]
-            uniform = Fraction(1, len(achievers))
-            weights = [
-                uniform if j in achievers else Fraction(0)
-                for j in range(len(char.generators))
+        random_payoff = V(*[rng.randint(-4, 4) for _ in range(mkt.outcomes)])
+        for payoff in (random_payoff, replicable_payoff(combos, mkt)):
+            bounds = price_bounds(mkt, payoff)
+            values = [
+                sum(a * b for a, b in zip(payoff, g)) / discount
+                for g in char.generators
             ]
-            blended = mixture(char.generators, weights)
-            # uniform over the achievers has the widest support any achieving
-            # mixture can have, so it decides equivalence
-            assert flag == all(x > 0 for x in blended)
+            for target, flag in (
+                (bounds.low, bounds.low_attained_by_emm),
+                (bounds.high, bounds.high_attained_by_emm),
+            ):
+                achievers = [j for j, v in enumerate(values) if v == target]
+                uniform = Fraction(1, len(achievers))
+                weights = [
+                    uniform if j in achievers else Fraction(0)
+                    for j in range(len(char.generators))
+                ]
+                blended = mixture(char.generators, weights)
+                # uniform over the achievers has the widest support any
+                # achieving mixture can have, so it decides equivalence
+                assert flag == all(x > 0 for x in blended)
+            unique_on_incomplete += len(char.generators) > 1 and bounds.low == bounds.high
+    assert unique_on_incomplete > 0
 
 
 def test_completion_soundness_random():

@@ -194,12 +194,19 @@ def test_price_interval_replicable_and_bond():
 
 def test_price_interval_matches_generic_bounds():
     rng = random.Random(19)
+    combos = random.Random(20)
     for _ in range(60):
         fm = random_viable_trinomial(rng)
         payoff = [Fraction(rng.randint(-6, 6)) for _ in range(3)]
         assert trinomial_price_interval(payoff, fm) == price_bounds(
             fm.market(), payoff
         )
+        # affine in the factors (bond plus stock): replicable, one price
+        bond, units = combos.randint(-3, 3), combos.randint(-3, 3)
+        replicable = [bond + units * f * fm.spot for f in fm.factors]
+        bounds = trinomial_price_interval(replicable, fm)
+        assert bounds.low == bounds.high
+        assert bounds == price_bounds(fm.market(), replicable)
 
 
 # ---------------------------------------------------------------------------
