@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError, NotViableError
 from .geometry import DEFAULT_MAX_OUTCOMES, GeneratorSet, enumerate_generators
@@ -27,7 +28,6 @@ from .rationals import (
     RationalLike,
     Vector,
     dot,
-    mean_vector,
     rank,  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
     unit_vector,
     vector,
@@ -45,7 +45,8 @@ class EmmCharacterization:
 
     ``witness`` is the uniform average of the generators (None when there
     are none): always a martingale measure, and equivalent precisely when
-    ``emm_exists``, since averaging covers every generator's support.
+    ``emm_exists``, since averaging covers every generator's support. It is
+    summed off the generators' integer rays, one Fraction per outcome.
     ``complete`` is viability plus row rank b of the ones-augmented payoff
     matrix. ``completing_outcomes`` are the outcomes whose unit payoffs,
     added smallest index first, raise that rank to b; empty exactly when the
@@ -119,7 +120,8 @@ def characterize(
     vector of the current row space has its last nonzero entry at i, that
     is, when i is not a pivot of the system's reduction: those outcomes
     complete the market, which is complete when viable and there are none.
-    ``outcome_support`` is ``gens.supports`` transposed.
+    ``outcome_support`` is ``gens.supports`` transposed, and ``witness``
+    the rays' mean (``_ray_mean``).
     """
     sys = build_system(mkt)
     gens = enumerate_generators(sys, max_outcomes=max_outcomes)
@@ -136,10 +138,30 @@ def characterize(
         generators=gens,
         outcome_support=support,
         emm_exists=emm_exists,
-        witness=mean_vector(gens.generators) if len(gens) else None,
+        witness=_ray_mean(gens) if len(gens) else None,
         complete=emm_exists and not completing,
         completing_outcomes=completing,
     )
+
+
+def _ray_mean(gens: GeneratorSet) -> Vector:
+    """The uniform average of the generators, summed over the lcm of the rays' t.
+
+    Generator j is x^j / t_j; scaled to the common t = lcm(t_j), entry i of
+    the sum is the integer sum of x^j_i * (t / t_j), and the mean divides it
+    by t times the generator count.
+    """
+    b = gens.outcomes
+    rays = gens.rays
+    t = lcm(*(v[b] for v in rays))
+    sums = [0] * b
+    for v in rays:
+        scale = t // v[b]
+        for i in range(b):
+            if v[i]:
+                sums[i] += v[i] * scale
+    den = t * len(rays)
+    return tuple(Fraction(x, den) for x in sums)
 
 
 def is_arbitrage_free(
@@ -183,15 +205,31 @@ def price_bounds(
     """Range of arbitrage-free prices of a payoff on a viable market.
 
     Closed at both ends exactly when the payoff is replicable (a single
-    price); otherwise open at both ends.
+    price); otherwise open at both ends. The payoff is scaled to integers and
+    each generator's value read off its ray, so only the two extreme values
+    become Fractions and reach ``bounds_from_values``.
     """
     c = vector(payoff)
-    if len(c) != mkt.outcomes:
-        raise InputError(f"payoff has {len(c)} entries for {mkt.outcomes} outcomes")
+    b = mkt.outcomes
+    if len(c) != b:
+        raise InputError(f"payoff has {len(c)} entries for {b} outcomes")
     char = characterize(mkt, max_outcomes=max_outcomes)
     if not char.emm_exists:
         raise NotViableError("price bounds are undefined without an equivalent measure")
-    return bounds_from_values([dot(c, g) for g in char.generators], 1 + mkt.rate)
+    # generator j's value is (s_j / t_j) / scale, with s_j the integer payoff's
+    # dot with x^j; t_j > 0, so the extremes are picked by cross-multiplying
+    scale = lcm(*(x.denominator for x in c))
+    cs = [x.numerator * (scale // x.denominator) for x in c]
+    rays = char.generators.rays
+    values = [(sum([a * x for a, x in zip(cs, v) if x]), v[b]) for v in rays]
+    least = most = values[0]
+    for s, t in values:
+        if s * least[1] < least[0] * t:
+            least = (s, t)
+        elif s * most[1] > most[0] * t:
+            most = (s, t)
+    extremes = [Fraction(s, t * scale) for s, t in (least, most)]
+    return bounds_from_values(extremes, 1 + mkt.rate)
 
 
 def bounds_from_values(values: Sequence[Fraction], discount: Fraction) -> PriceBounds:
@@ -273,7 +311,12 @@ def complete_market(
 def _plan_from_record(
     mkt: OnePeriodMarket, char: EmmCharacterization, weights: Iterable[RationalLike] | None
 ) -> CompletionPlan:
-    """The completion plan read off ``char``; uniform weights price at ``char.witness``."""
+    """The completion plan read off ``char``; uniform weights price at ``char.witness``.
+
+    ``price_map`` is read off the generators' integer rays, one Fraction per
+    nonzero entry, so ``char.generators`` forms no Fraction vectors here.
+    Explicit weights mix the Fraction vectors, through ``mixture``.
+    """
     if not char.emm_exists:
         raise NotViableError("only arbitrage-free markets can be completed")
     b = mkt.outcomes
@@ -286,11 +329,15 @@ def _plan_from_record(
 
     added = [unit_vector(i, b) for i in char.completing_outcomes]
 
-    # a unit payoff's value under a measure is that measure's entry, discounted;
-    # off its support a generator is 0, which needs no dividing
+    # a unit payoff's value under generator x / t is x_i / t, discounted by
+    # num / den: x_i * den / (t * num), whose sign Fraction normalises; off
+    # its support a generator is 0, which needs no dividing
     discount = 1 + mkt.rate
+    num, den = discount.numerator, discount.denominator
+    rays = char.generators.rays
+    zero = Fraction(0)
     price_map = tuple(
-        tuple(g[i] / discount if g[i] else g[i] for g in char.generators)
+        tuple(Fraction(v[i] * den, v[b] * num) if v[i] else zero for v in rays)
         for i in char.completing_outcomes
     )
     prices = tuple(blended[i] / discount for i in char.completing_outcomes)

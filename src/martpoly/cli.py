@@ -12,6 +12,7 @@ retries exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,9 +31,9 @@ from .errors import (
     PerturbationError,
     quoted,
 )
-from .geometry import DEFAULT_MAX_OUTCOMES
+from .geometry import DEFAULT_MAX_OUTCOMES, GeneratorSet
 from .market import OnePeriodMarket, market_from_json_dict, market_to_json_dict
-from .rationals import Vector, format_rational, parse_rational
+from .rationals import Vector, format_ratio, format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -56,6 +57,12 @@ def _fmt_vec(v: Sequence[Fraction]) -> str:
 
 def _vec_strings(v: Sequence[Fraction]) -> list[str]:
     return [format_rational(x) for x in v]
+
+
+def _generator_strings(gens: GeneratorSet) -> list[list[str]]:
+    """Each generator as ``_vec_strings`` prints it, read off its integer ray."""
+    b = gens.outcomes
+    return [[format_ratio(x, v[b]) if x else "0" for x in v[:b]] for v in gens.rays]
 
 
 @contextmanager
@@ -217,7 +224,7 @@ def _market_report(mkt: OnePeriodMarket, char: analysis.EmmCharacterization) -> 
         "assets": mkt.assets,
         "viable": char.emm_exists,
         "complete": char.complete,
-        "generators": [_vec_strings(g) for g in char.generators],
+        "generators": _generator_strings(char.generators),
         "generator_supports": [list(s) for s in char.generators.supports],
         "outcome_support": [list(s) for s in char.outcome_support],
         "witness": None if char.witness is None else _vec_strings(char.witness),
@@ -263,7 +270,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_generators(args: argparse.Namespace) -> int:
     mkt = _load_market(args.path)
     char = analysis.characterize(mkt, max_outcomes=_max_outcomes(args))
-    doc = {"generators": [_vec_strings(g) for g in char.generators]}
+    doc = {"generators": _generator_strings(char.generators)}
 
     def human() -> list[str]:
         return [f"{len(char.generators)} generator(s):"] + [
@@ -358,7 +365,7 @@ def cmd_tree_analyze(args: argparse.Namespace) -> int:
             "outcomes": r.component.market.outcomes,
             "viable": r.viable,
             "complete": r.complete,
-            "generators": [_vec_strings(g) for g in r.characterization.generators],
+            "generators": _generator_strings(r.characterization.generators),
         }
         for key, r in records.items()
     }
@@ -499,7 +506,13 @@ def cmd_kkl(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every ``main`` call.
+
+    Parsing does not change it, and argparse reads the terminal width when it
+    formats help, not here.
+    """
     parser = argparse.ArgumentParser(
         prog="martpoly",
         description=(

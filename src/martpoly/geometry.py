@@ -45,6 +45,13 @@ class GeneratorSet:
     lexicographically within one size. Each lies in the relative interior of
     a distinct simplex face, so they are pairwise distinct and none is a
     convex combination of the others.
+
+    ``rays`` holds each generator as its primitive integer ray
+    (x_0, ..., x_{b-1}, t) with t > 0, the generator being x / t. A set
+    built by ``from_rays`` keeps only the rays until ``generators`` is first
+    read, which forms the Fraction vectors once; length and supports come
+    from the rays. Equality, hashing and ``repr`` compare the Fraction
+    vectors, so a set from rays equals the set built from its Fractions.
     """
 
     outcomes: int
@@ -55,18 +62,58 @@ class GeneratorSet:
             if len(g) != self.outcomes:
                 raise InputError("generator length must equal the outcome count")
 
+    @classmethod
+    def from_rays(
+        cls,
+        outcomes: int,
+        rays: tuple[tuple[int, ...], ...],
+        supports: tuple[tuple[int, ...], ...],
+    ) -> GeneratorSet:
+        """The set of the generators x / t of primitive rays (x, t), t > 0.
+
+        ``supports`` are the rays' supports, which the caller has at hand.
+        """
+        gens = object.__new__(cls)
+        object.__setattr__(gens, "outcomes", outcomes)
+        object.__setattr__(gens, "rays", rays)
+        object.__setattr__(gens, "supports", supports)
+        return gens
+
+    def __getattr__(self, name: str):
+        # reached only for ``generators`` of a set built by ``from_rays``
+        # before its first read
+        if name != "generators" or "rays" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        zero = Fraction(0)
+        b = self.outcomes
+        gens = tuple(
+            tuple(Fraction(x, v[b]) if x else zero for x in v[:b]) for v in self.rays
+        )
+        object.__setattr__(self, "generators", gens)
+        return gens
+
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self.rays)
 
     def __iter__(self):
         return iter(self.generators)
 
     @cached_property
+    def rays(self) -> tuple[tuple[int, ...], ...]:
+        """Per generator g, its primitive integer ray: (g * t, t), t the lcm of g's denominators."""
+        out = []
+        for g in self.generators:
+            t = lcm(*(x.denominator for x in g))
+            out.append(tuple(x.numerator * (t // x.denominator) for x in g) + (t,))
+        return tuple(out)
+
+    @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
         """Per generator, the outcome indices carrying positive mass."""
-        return tuple(
-            tuple(i for i, x in enumerate(g) if x.numerator > 0) for g in self.generators
-        )
+        b = self.outcomes
+        return tuple(tuple(i for i in range(b) if v[i] > 0) for v in self.rays)
 
     def as_set(self) -> frozenset[Vector]:
         return frozenset(self.generators)
@@ -179,9 +226,11 @@ def enumerate_generators(
     pairs tested, not with b's faces.
 
     A final ray is a nonzero x >= 0 with t = sum(x) by the ones row, so
-    t > 0, and its vertex is q = x / t. The vertices are listed
-    by support size and then support, the discovery order of a face walk
-    by ascending dimension (``face_walk_generators``). ``max_outcomes``
+    t > 0, and its vertex is q = x / t. The result holds the rays as
+    ``GeneratorSet.rays`` and forms no Fraction until its ``generators``
+    are read. The vertices are listed by support size and then support,
+    the discovery order of a face walk by ascending dimension
+    (``face_walk_generators``). ``max_outcomes``
     refuses a large market with LimitExceededError before any work.
     """
     b = sys.outcomes
@@ -191,7 +240,7 @@ def enumerate_generators(
         )
     rows, pivots = sys.reduced
     if pivots[-1] == b:
-        return GeneratorSet(b, ())
+        return GeneratorSet.from_rays(b, (), ())
     # row i reads sum over j of row[j] * x_j = row[b] * t, with t = x_b, and
     # its pivot p = pivots[i] is the one pivot coordinate it holds
     free = [j for j in range(b + 1) if j not in pivots]
@@ -233,15 +282,11 @@ def enumerate_generators(
         rays = kept
 
     vertices = sorted(
-        ((tuple(i for i in range(b) if v[i]), v) for v, _ in rays),
+        ((tuple(i for i in range(b) if v[i]), tuple(v)) for v, _ in rays),
         key=lambda sv: (len(sv[0]), sv[0]),
     )
-    zero = Fraction(0)
-    return GeneratorSet(
-        b,
-        tuple(
-            tuple(Fraction(x, v[b]) if x else zero for x in v[:b]) for _, v in vertices
-        ),
+    return GeneratorSet.from_rays(
+        b, tuple(v for _, v in vertices), tuple(s for s, _ in vertices)
     )
 
 

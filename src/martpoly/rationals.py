@@ -80,11 +80,31 @@ def format_rational(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:
-        bits = value.numerator.bit_length() + value.denominator.bit_length()
-        raise LimitExceededError(
-            f"a {bits}-bit rational is too long to print: over the limit of "
-            f"{sys.get_int_max_str_digits()} decimal digits"
-        ) from None
+        raise _too_long_to_print(value.numerator, value.denominator) from None
+
+
+def format_ratio(num: int, den: int) -> str:
+    """``format_rational(Fraction(num, den))`` for ``den > 0``, without the Fraction.
+
+    The pair is reduced by one gcd; the bytes, and the error past the digit
+    limit, are ``format_rational``'s.
+    """
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        raise _too_long_to_print(num, den) from None
+
+
+def _too_long_to_print(num: int, den: int) -> LimitExceededError:
+    bits = num.bit_length() + den.bit_length()
+    return LimitExceededError(
+        f"a {bits}-bit rational is too long to print: over the limit of "
+        f"{sys.get_int_max_str_digits()} decimal digits"
+    )
 
 
 def rat(value: RationalLike) -> Fraction:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from martpoly import analysis, geometry, market, rationals
+from martpoly import analysis, cli, geometry, market, rationals
 from martpoly import (
     InputError,
     NotViableError,
@@ -31,10 +31,10 @@ from martpoly import (
     vector,
     verify_measure,
 )
-from martpoly.rationals import unit_vector
-from test_geometry import small_systems
+from martpoly.rationals import dot, format_rational, mean_vector, unit_vector
+from test_geometry import SMALL, small_systems
 from test_rationals import SUMMANDS
-from util import random_market, random_viable_market
+from util import random_market, random_system, random_viable_market
 
 
 def V(*xs):
@@ -553,3 +553,69 @@ def test_outcome_support_transposes_the_generator_supports(sys):
         tuple(j for j, g in enumerate(char.generators) if g[i] > 0)
         for i in range(sys.outcomes)
     )
+
+
+@st.composite
+def ray_path_cases(draw):
+    """A ``random_system`` draw as a market, at a rate that may lie below -1.
+
+    The draw is kept, or made degenerate (a repeated column, an outcome
+    pinned to mass 0, columns reflected in pairs through the rhs) or
+    inconsistent (a bond row asking for mass 2, so no generator).
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sys = random_system(rng, max_b=7, max_n=4)
+    b = sys.outcomes
+    rows = [list(r) for r in sys.matrix.entries]
+    rhs = list(sys.rhs)
+    kind = draw(st.sampled_from(["kept", "repeated", "pinned", "centred", "inconsistent"]))
+    if kind == "repeated" and b >= 2:
+        i, j = draw(st.permutations(range(b)))[:2]
+        for row in rows:
+            row[j] = row[i]
+    elif kind == "pinned":
+        i = draw(st.integers(0, b - 1))
+        rows.append([int(k == i) for k in range(b)])
+        rhs.append(0)
+    elif kind == "centred":
+        cols = [rhs] * (2 - b % 2)
+        while len(cols) < b:
+            a = [c + rng.randint(-6, 6) for c in rhs]
+            cols += [a, [2 * c - x for c, x in zip(rhs, a)]]
+        rows = [[col[i] for col in cols[:b]] for i in range(len(rhs))]
+    elif kind == "inconsistent":
+        rows.append([1] * b)
+        rhs.append(2)
+    rate = Fraction(draw(st.sampled_from(["0", "1/10", "-1/2", "-3/2", "-5", "7/3"])))
+    mkt = market.market_from_system(rows, rhs, rate=rate, outcomes=b)
+    return mkt, draw(st.lists(SMALL, min_size=b, max_size=b))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ray_path_cases())
+def test_ray_paths_equal_their_fraction_oracles(case):
+    # strings, witness, bounds and price map are read off the integer rays;
+    # the Fraction vectors and the helpers kept as oracles must agree
+    mkt, payoff = case
+    char = characterize(mkt)
+    strings = cli._generator_strings(char.generators)
+    fractions = char.generators.generators
+    assert strings == [[format_rational(x) for x in g] for g in fractions]
+    assert char.witness == (mean_vector(fractions) if fractions else None)
+    if not char.emm_exists:
+        with pytest.raises(NotViableError):
+            price_bounds(mkt, payoff)
+        with pytest.raises(NotViableError):
+            complete_market(mkt)
+        return
+    discount = 1 + mkt.rate
+    values = [dot(payoff, g) for g in fractions]
+    bounds = price_bounds(mkt, payoff)
+    assert bounds == analysis.bounds_from_values(values, discount)
+    discounted = [v / discount for v in values]
+    assert (bounds.low, bounds.high) == (min(discounted), max(discounted))
+    plan = complete_market(mkt)
+    assert plan.price_map == tuple(
+        tuple(g[i] / discount for g in fractions) for i in char.completing_outcomes
+    )
+    assert all(type(x) is Fraction for row in plan.price_map for x in row)

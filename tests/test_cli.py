@@ -1,7 +1,10 @@
 """Command line behaviour: exit codes, JSON round trips, artifacts."""
 
+import hashlib
 import io
 import json
+import random
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -361,6 +364,104 @@ def test_kkl_json_report_leaves_dt_unformatted(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("over the limit of 4300 decimal digits\n")
+
+
+def long_market_doc(digits):
+    """b=4, n=2: payoffs of up to ``digits`` digits, spot rhs/10 at rate 9."""
+    rng = random.Random(3)
+    payoffs = [[rng.randrange(10**digits) for _ in range(4)] for _ in range(2)]
+    weights = [rng.randint(0, 3) for _ in range(4)]
+    rhs = [Fraction(sum(p * w for p, w in zip(row, weights)), sum(weights)) for row in payoffs]
+    return {
+        "rate": "9",
+        "spot": [str(x / 10) for x in rhs],
+        "payoffs": [[str(x) for x in row] for row in payoffs],
+    }
+
+
+def too_long(bits):
+    return (
+        f"error: a {bits}-bit rational is too long to print: "
+        "over the limit of 640 decimal digits\n"
+    )
+
+
+@pytest.mark.parametrize("digits,expected", [
+    # the witness is too long to print; the generators and the bounds are not
+    (300, {
+        "analyze": (3, too_long(7965), None),
+        "complete": (3, too_long(7964), None),
+        "generators": (0, "", "4d17403d69664e4ff3e0aa5cb1b609c8615f7be4f36d62f307f3cb647e25bad8"),
+        "bounds": (0, "", "cb2eb3f0ef24e71ba53a88d15c3ea335aac9c9d310ce048f8fb9acdbde8f7886"),
+    }),
+    # a generator is too long to print
+    (400, {
+        "analyze": (3, too_long(5308), None),
+        "complete": (0, "", "ceb9e238a55da71cfcf82ed9cb92f4dc87a6489e8347bb65814f85426dacdb55"),
+        "generators": (3, too_long(5308), None),
+        "bounds": (0, "", "b2779cf61634c77d0ed51dd29c8e73778a7e8c00b01da03e830a5968e03098de"),
+    }),
+], ids=["long witness", "long generator"])
+def test_print_limit_is_format_rationals_on_every_report(tmp_path, capsys, digits, expected):
+    # generator strings, witness, bounds and prices print from integer rays;
+    # each refuses a value past the digit limit as format_rational does
+    path = write_doc(tmp_path, "long.json", long_market_doc(digits))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for command, (code, err, digest) in expected.items():
+            extra = ["--payoff=1,0,0,0"] if command == "bounds" else []
+            assert main([command, path, "--json"] + extra) == code, command
+            captured = capsys.readouterr()
+            assert captured.err == err, command
+            if digest is None:
+                assert captured.out == ""
+            else:
+                assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, command
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_one_period_json_reports_never_form_the_fraction_generators(tmp_path, capsys, monkeypatch):
+    # analyze, generators, bounds and complete print from the integer rays
+    from martpoly import analysis
+
+    records = []
+    real_characterize = analysis.characterize
+
+    def recording(*args, **kwargs):
+        records.append(real_characterize(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(analysis, "characterize", recording)
+    for doc in (EX4_DOC, TRINOMIAL_DOC):
+        path = write_doc(tmp_path, "m.json", doc)
+        payoff = ",".join(["1"] + ["0"] * (len(doc["payoffs"][0]) - 1))
+        for argv in (
+            ["analyze", path],
+            ["generators", path],
+            ["bounds", path, "--payoff", payoff],
+            ["complete", path],
+        ):
+            assert main(argv + ["--json"]) == 0, argv
+    capsys.readouterr()
+    assert len(records) == 8
+    for char in records:
+        assert len(char.generators) > 0
+        assert "generators" not in vars(char.generators)
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    from martpoly import cli
+
+    market = write_doc(tmp_path, "m.json", EX4_DOC)
+    parser = cli.build_parser()
+    assert main(["generators", market, "--json"]) == 0
+    with pytest.raises(SystemExit):
+        main(["analyze"])
+    assert main(["bounds", market, "--payoff", "1,0,0,0"]) == 0
+    assert cli.build_parser() is parser
+    assert capsys.readouterr().err.startswith("usage: martpoly analyze")
 
 
 def test_json_reports_build_no_human_lines(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Generator enumeration: worked systems, the oracle, and its invariants."""
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from martpoly import (
+    GeneratorSet,
     InputError,
     InternalContractError,
     LimitExceededError,
@@ -463,3 +465,37 @@ def test_double_description_matches_brute_force(sys):
 @given(degenerate_systems(max_b=12))
 def test_double_description_lists_the_face_walk_order(sys):
     assert enumerate_generators(sys) == face_walk_generators(sys)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(degenerate_systems(max_b=8))
+def test_a_set_from_rays_is_the_set_of_its_fractions(sys):
+    # each check starts from a fresh set, which holds only the rays
+    def fresh():
+        gens = enumerate_generators(sys)
+        assert "generators" not in vars(gens)
+        return gens
+
+    fractions = fresh().generators
+    built = GeneratorSet(sys.outcomes, fractions)
+    assert [f.name for f in dataclasses.fields(GeneratorSet)] == ["outcomes", "generators"]
+    assert fresh() == built and built == fresh()
+    assert hash(fresh()) == hash(built)
+    assert len(fresh()) == len(built) == len(fractions)
+    assert fresh().supports == built.supports == positive_supports(built)
+    assert fresh().rays == built.rays
+    assert fresh().as_set() == built.as_set()
+    assert repr(fresh()) == repr(built)
+    items = list(fresh())
+    assert items == list(built)
+    assert all(type(g) is tuple and all(type(x) is Fraction for x in g) for g in items)
+    if len(fractions) > 1:
+        assert fresh() != GeneratorSet(sys.outcomes, fractions[1:])
+
+
+def test_a_wrong_length_generator_is_refused():
+    with pytest.raises(InputError, match="generator length must equal the outcome count"):
+        GeneratorSet(3, (V(1, 0, 0), V(1, 0)))
+    gens = enumerate_generators(system_from_rows([[1, 2, 3]], [2]))
+    with pytest.raises(AttributeError):
+        gens.missing

@@ -23,7 +23,7 @@ from martpoly import (
     solve,
     vector,
 )
-from martpoly.rationals import Echelon
+from martpoly.rationals import Echelon, format_ratio
 
 
 def test_vector_coerces_any_iterable_of_rationals():
@@ -75,6 +75,32 @@ def test_format_refuses_a_value_too_long_to_print():
     assert format_rational(Fraction(1, 10 ** (limit - 1))) == "1/1" + "0" * (limit - 1)
     with pytest.raises(LimitExceededError, match=f"over the limit of {limit} decimal digits"):
         format_rational(Fraction(1, 10**limit))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(-(10**700), 10**700) | st.integers(-99, 99),
+    st.integers(1, 10**700) | st.integers(1, 99),
+    st.integers(1, 200),
+)
+def test_format_ratio_prints_format_rationals_bytes_and_refusal(num, den, scale):
+    # an unreduced pair (scaled by a common factor) reduces to the same bytes;
+    # past the digit limit (640 here) both raise the same message, bit count
+    # included
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except LimitExceededError as exc:
+            return exc.args
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert outcome(format_ratio, num * scale, den * scale) == outcome(
+            format_rational, Fraction(num, den)
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rat_rejects_floats():
