@@ -27,7 +27,6 @@ from .rationals import (
     Matrix,
     RationalLike,
     Vector,
-    dot,
     rank,  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
     unit_vector,
     vector,
@@ -46,7 +45,8 @@ class EmmCharacterization:
     ``witness`` is the uniform average of the generators (None when there
     are none): always a martingale measure, and equivalent precisely when
     ``emm_exists``, since averaging covers every generator's support. It is
-    summed off the generators' integer rays, one Fraction per outcome.
+    the mixture kernel ``_mix`` at equal integer weights, summed off the
+    generators' rays with one Fraction per outcome.
     ``complete`` is viability plus row rank b of the ones-augmented payoff
     matrix. ``completing_outcomes`` are the outcomes whose unit payoffs,
     added smallest index first, raise that rank to b; empty exactly when the
@@ -121,7 +121,7 @@ def characterize(
     is, when i is not a pivot of the system's reduction: those outcomes
     complete the market, which is complete when viable and there are none.
     ``outcome_support`` is ``gens.supports`` transposed, and ``witness``
-    the rays' mean (``_ray_mean``).
+    the rays' mean, ``_mix`` with weights 1 over the generator count.
     """
     sys = build_system(mkt)
     gens = enumerate_generators(sys, max_outcomes=max_outcomes)
@@ -138,29 +138,29 @@ def characterize(
         generators=gens,
         outcome_support=support,
         emm_exists=emm_exists,
-        witness=_ray_mean(gens) if len(gens) else None,
+        witness=_mix(gens, (1,) * len(gens), len(gens)) if len(gens) else None,
         complete=emm_exists and not completing,
         completing_outcomes=completing,
     )
 
 
-def _ray_mean(gens: GeneratorSet) -> Vector:
-    """The uniform average of the generators, summed over the lcm of the rays' t.
+def _mix(gens: GeneratorSet, weights: Sequence[int], den: int) -> Vector:
+    """The mixture of the generators under weights w_j / den, w_j integers.
 
     Generator j is x^j / t_j; scaled to the common t = lcm(t_j), entry i of
-    the sum is the integer sum of x^j_i * (t / t_j), and the mean divides it
-    by t times the generator count.
+    the mixture is the integer sum of w_j * x^j_i * (t / t_j) over den * t.
     """
     b = gens.outcomes
     rays = gens.rays
     t = lcm(*(v[b] for v in rays))
     sums = [0] * b
-    for v in rays:
-        scale = t // v[b]
-        for i in range(b):
-            if v[i]:
-                sums[i] += v[i] * scale
-    den = t * len(rays)
+    for w, v in zip(weights, rays):
+        if w:
+            scale = w * (t // v[b])
+            for i in range(b):
+                if v[i]:
+                    sums[i] += v[i] * scale
+    den *= t
     return tuple(Fraction(x, den) for x in sums)
 
 
@@ -248,13 +248,18 @@ def bounds_from_values(values: Sequence[Fraction], discount: Fraction) -> PriceB
 def mixture(gens: GeneratorSet, weights: Sequence[Fraction]) -> Vector:
     """Convex combination of the generators under the given weights.
 
-    Entry i is the ``dot`` of the weights with the generators' entries at i.
+    The weights are scaled to integers over the lcm of their denominators and
+    mixed by ``_mix``, off the rays. They must be Fractions or ints; any
+    other number (a float, a Decimal), zero included, raises ``InputError``.
     """
     if len(weights) != len(gens):
         raise InputError("one weight per generator required")
-    return tuple(
-        dot(weights, [g[i] for g in gens.generators]) for i in range(gens.outcomes)
-    )
+    try:
+        den = lcm(*[w.denominator for w in weights])
+        ints = [w.numerator * (den // w.denominator) for w in weights]
+    except AttributeError:
+        raise InputError("mixture weights must be Fractions or ints") from None
+    return _mix(gens, ints, den)
 
 
 def validate_weights(
@@ -314,8 +319,8 @@ def _plan_from_record(
     """The completion plan read off ``char``; uniform weights price at ``char.witness``.
 
     ``price_map`` is read off the generators' integer rays, one Fraction per
-    nonzero entry, so ``char.generators`` forms no Fraction vectors here.
-    Explicit weights mix the Fraction vectors, through ``mixture``.
+    nonzero entry, and explicit weights are mixed off the rays by
+    ``mixture``, so ``char.generators`` forms no Fraction vectors here.
     """
     if not char.emm_exists:
         raise NotViableError("only arbitrage-free markets can be completed")

@@ -30,7 +30,7 @@ from math import gcd, lcm
 
 from .errors import InputError, InternalContractError, LimitExceededError
 from .market import MartingaleSystem, augmented_matrix
-from .rationals import Matrix, SolutionSpace, Vector, solve
+from .rationals import Matrix, SolutionSpace, Vector, integer_row, solve
 
 Face = tuple[int, ...]
 
@@ -46,53 +46,31 @@ class GeneratorSet:
     a distinct simplex face, so they are pairwise distinct and none is a
     convex combination of the others.
 
-    ``rays`` holds each generator as its primitive integer ray
-    (x_0, ..., x_{b-1}, t) with t > 0, the generator being x / t. A set
-    built by ``from_rays`` keeps only the rays until ``generators`` is first
-    read, which forms the Fraction vectors once; length and supports come
-    from the rays. Equality, hashing and ``repr`` compare the Fraction
-    vectors, so a set from rays equals the set built from its Fractions.
+    ``rays`` holds each generator g as its primitive integer ray
+    (x_0, ..., x_{b-1}, t) with t > 0 and g = x / t, and ``supports`` each
+    ray's positive outcome indices. A vector has exactly one such ray, so
+    equality, hashing and ``repr`` go by the rays. ``of`` builds the set of
+    given Fraction vectors; ``generators`` forms them back, once, when first
+    read.
     """
 
     outcomes: int
-    generators: tuple[Vector, ...]
+    rays: tuple[tuple[int, ...], ...]
+    supports: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        for g in self.generators:
-            if len(g) != self.outcomes:
-                raise InputError("generator length must equal the outcome count")
+        for v in self.rays:
+            if len(v) != self.outcomes + 1:
+                raise InputError(
+                    "generator length must equal the outcome count, plus one for a ray's t"
+                )
 
     @classmethod
-    def from_rays(
-        cls,
-        outcomes: int,
-        rays: tuple[tuple[int, ...], ...],
-        supports: tuple[tuple[int, ...], ...],
-    ) -> GeneratorSet:
-        """The set of the generators x / t of primitive rays (x, t), t > 0.
-
-        ``supports`` are the rays' supports, which the caller has at hand.
-        """
-        gens = object.__new__(cls)
-        object.__setattr__(gens, "outcomes", outcomes)
-        object.__setattr__(gens, "rays", rays)
-        object.__setattr__(gens, "supports", supports)
-        return gens
-
-    def __getattr__(self, name: str):
-        # reached only for ``generators`` of a set built by ``from_rays``
-        # before its first read
-        if name != "generators" or "rays" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        zero = Fraction(0)
-        b = self.outcomes
-        gens = tuple(
-            tuple(Fraction(x, v[b]) if x else zero for x in v[:b]) for v in self.rays
-        )
-        object.__setattr__(self, "generators", gens)
-        return gens
+    def of(cls, outcomes: int, vectors: Iterable[Sequence[Fraction]]) -> GeneratorSet:
+        """The set of the given vectors, each turned into its ray ``(g * t, t)``."""
+        rays = tuple(tuple(integer_row((*g, 1))) for g in vectors)
+        supports = tuple(tuple(i for i in range(outcomes) if v[i] > 0) for v in rays)
+        return cls(outcomes, rays, supports)
 
     def __len__(self) -> int:
         return len(self.rays)
@@ -101,19 +79,13 @@ class GeneratorSet:
         return iter(self.generators)
 
     @cached_property
-    def rays(self) -> tuple[tuple[int, ...], ...]:
-        """Per generator g, its primitive integer ray: (g * t, t), t the lcm of g's denominators."""
-        out = []
-        for g in self.generators:
-            t = lcm(*(x.denominator for x in g))
-            out.append(tuple(x.numerator * (t // x.denominator) for x in g) + (t,))
-        return tuple(out)
-
-    @cached_property
-    def supports(self) -> tuple[tuple[int, ...], ...]:
-        """Per generator, the outcome indices carrying positive mass."""
+    def generators(self) -> tuple[Vector, ...]:
+        """Per ray (x, t), the vector x / t of Fractions."""
+        zero = Fraction(0)
         b = self.outcomes
-        return tuple(tuple(i for i in range(b) if v[i] > 0) for v in self.rays)
+        return tuple(
+            tuple(Fraction(x, v[b]) if x else zero for x in v[:b]) for v in self.rays
+        )
 
     def as_set(self) -> frozenset[Vector]:
         return frozenset(self.generators)
@@ -226,12 +198,12 @@ def enumerate_generators(
     pairs tested, not with b's faces.
 
     A final ray is a nonzero x >= 0 with t = sum(x) by the ones row, so
-    t > 0, and its vertex is q = x / t. The result holds the rays as
-    ``GeneratorSet.rays`` and forms no Fraction until its ``generators``
-    are read. The vertices are listed by support size and then support,
-    the discovery order of a face walk by ascending dimension
-    (``face_walk_generators``). ``max_outcomes``
-    refuses a large market with LimitExceededError before any work.
+    t > 0, and its vertex is q = x / t. The vertices are listed by support
+    size and then support, the discovery order of a face walk by ascending
+    dimension (``face_walk_generators``). The result holds the sorted rays
+    and the supports they were sorted by, and forms no Fraction until its
+    ``generators`` are read. ``max_outcomes`` refuses a large market with
+    LimitExceededError before any work.
     """
     b = sys.outcomes
     if b > max_outcomes:
@@ -240,7 +212,7 @@ def enumerate_generators(
         )
     rows, pivots = sys.reduced
     if pivots[-1] == b:
-        return GeneratorSet.from_rays(b, (), ())
+        return GeneratorSet(b, (), ())
     # row i reads sum over j of row[j] * x_j = row[b] * t, with t = x_b, and
     # its pivot p = pivots[i] is the one pivot coordinate it holds
     free = [j for j in range(b + 1) if j not in pivots]
@@ -285,7 +257,7 @@ def enumerate_generators(
         ((tuple(i for i in range(b) if v[i]), tuple(v)) for v, _ in rays),
         key=lambda sv: (len(sv[0]), sv[0]),
     )
-    return GeneratorSet.from_rays(
+    return GeneratorSet(
         b, tuple(v for _, v in vertices), tuple(s for s, _ in vertices)
     )
 
@@ -321,7 +293,7 @@ def face_walk_generators(sys: MartingaleSystem) -> GeneratorSet:
     b = sys.outcomes
     pivots = sys.reduced[1]
     if pivots[-1] == b:
-        return GeneratorSet(b, ())
+        return GeneratorSet.of(b, ())
     last_stage = len(pivots)
 
     generators: list[Vector] = []
@@ -337,7 +309,7 @@ def face_walk_generators(sys: MartingaleSystem) -> GeneratorSet:
                 generators.append(point)
         stage += 1
         faces = _stage_candidates(non_intersecting, b) if stage <= last_stage else []
-    return GeneratorSet(b, tuple(generators))
+    return GeneratorSet.of(b, generators)
 
 
 def brute_force_generators(sys: MartingaleSystem) -> GeneratorSet:
@@ -355,7 +327,7 @@ def brute_force_generators(sys: MartingaleSystem) -> GeneratorSet:
             space = _face_solution(sys, face)
             if space.kind == "unique" and all(x > 0 for x in space.particular):
                 found.append(_embed(face, space.particular, b))
-    return GeneratorSet(b, tuple(found))
+    return GeneratorSet.of(b, found)
 
 
 def convex_hull_member(point: Sequence[Fraction], vectors: Sequence[Vector]) -> bool:

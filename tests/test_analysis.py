@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,11 @@ def test_weights_validation():
         validate_weights(char, ["1/2", "1/2", "1/2"])  # not convex
     with pytest.raises(InputError):
         validate_weights(char, ["3/2", "-1/4", "-1/4"])  # negative
+    # a float or Decimal weight is refused even where it is zero
+    half = Fraction(1, 2)
+    for bad in ([0.0, half, half], [Decimal(0), half, half], [0.5, half, 0]):
+        with pytest.raises(InputError, match="^mixture weights must be Fractions or ints$"):
+            mixture(char.generators, bad)
 
 
 def test_complete_market_rejects_bad_weights():
@@ -533,7 +539,7 @@ def weighted_families(draw):
     k = draw(st.integers(0, 10))
     gens = draw(st.lists(st.lists(SUMMANDS, min_size=b, max_size=b), min_size=k, max_size=k))
     weights = draw(st.lists(SUMMANDS, min_size=k, max_size=k))
-    return GeneratorSet(b, tuple(map(tuple, gens))), weights
+    return GeneratorSet.of(b, tuple(map(tuple, gens))), weights
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

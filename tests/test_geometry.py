@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from martpoly import (
     system_from_rows,
     vector,
 )
-from test_rationals import fraction_rref
+from test_rationals import SUMMANDS, fraction_rref
 from util import random_system
 
 
@@ -467,9 +468,32 @@ def test_double_description_lists_the_face_walk_order(sys):
     assert enumerate_generators(sys) == face_walk_generators(sys)
 
 
+@st.composite
+def vector_families(draw):
+    """b and two families of up to 10 length-b vectors, entries from SUMMANDS.
+
+    The second family is the first written as Fractions, the first with one
+    entry moved, or a fresh draw.
+    """
+    b = draw(st.integers(1, 8))
+    family = st.lists(st.tuples(*[SUMMANDS] * b), max_size=10)
+    vs = draw(family)
+    kind = draw(st.sampled_from(["same", "moved", "fresh"]))
+    if kind == "same":
+        ws = [tuple(map(Fraction, v)) for v in vs]
+    elif kind == "moved" and vs:
+        ws = [list(v) for v in vs]
+        j, i = draw(st.integers(0, len(vs) - 1)), draw(st.integers(0, b - 1))
+        ws[j][i] += draw(st.sampled_from([Fraction(1), Fraction(-1, 3), Fraction(1, 10**30)]))
+        ws = [tuple(w) for w in ws]
+    else:
+        ws = draw(family)
+    return b, vs, ws
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(degenerate_systems(max_b=8))
-def test_a_set_from_rays_is_the_set_of_its_fractions(sys):
+@given(degenerate_systems(max_b=8), vector_families())
+def test_a_set_from_rays_is_the_set_of_its_fractions(sys, families):
     # each check starts from a fresh set, which holds only the rays
     def fresh():
         gens = enumerate_generators(sys)
@@ -477,8 +501,8 @@ def test_a_set_from_rays_is_the_set_of_its_fractions(sys):
         return gens
 
     fractions = fresh().generators
-    built = GeneratorSet(sys.outcomes, fractions)
-    assert [f.name for f in dataclasses.fields(GeneratorSet)] == ["outcomes", "generators"]
+    built = GeneratorSet.of(sys.outcomes, fractions)
+    assert [f.name for f in dataclasses.fields(GeneratorSet)] == ["outcomes", "rays", "supports"]
     assert fresh() == built and built == fresh()
     assert hash(fresh()) == hash(built)
     assert len(fresh()) == len(built) == len(fractions)
@@ -490,12 +514,27 @@ def test_a_set_from_rays_is_the_set_of_its_fractions(sys):
     assert items == list(built)
     assert all(type(g) is tuple and all(type(x) is Fraction for x in g) for g in items)
     if len(fractions) > 1:
-        assert fresh() != GeneratorSet(sys.outcomes, fractions[1:])
+        assert fresh() != GeneratorSet.of(sys.outcomes, fractions[1:])
+
+    # any Fraction vectors: one primitive ray each, with t > 0, and back
+    b, vs, ws = families
+    of_vs, of_ws = GeneratorSet.of(b, vs), GeneratorSet.of(b, ws)
+    assert of_vs.generators == tuple(vs)
+    assert all(gcd(*v) == 1 and v[b] > 0 for v in of_vs.rays)
+    assert of_vs.supports == positive_supports(of_vs)
+    assert (of_vs == of_ws) == (vs == ws)
+    if vs == ws:
+        assert hash(of_vs) == hash(of_ws) and repr(of_vs) == repr(of_ws)
 
 
 def test_a_wrong_length_generator_is_refused():
     with pytest.raises(InputError, match="generator length must equal the outcome count"):
-        GeneratorSet(3, (V(1, 0, 0), V(1, 0)))
+        GeneratorSet.of(3, (V(1, 0, 0), V(1, 0)))
+    # the plain constructor takes rays: a length-b Fraction vector is refused
+    with pytest.raises(InputError, match="generator length must equal the outcome count"):
+        GeneratorSet(3, (V(1, 0, 0),), ((0,),))
+    with pytest.raises(TypeError):
+        GeneratorSet(3, (V(1, 0, 0),))
     gens = enumerate_generators(system_from_rows([[1, 2, 3]], [2]))
     with pytest.raises(AttributeError):
         gens.missing
