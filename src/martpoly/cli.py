@@ -2,7 +2,9 @@
 
 Commands: analyze, generators, bounds, complete, tree analyze, tree complete,
 kkl. Input documents carry every number as a rational string and so do the
-reports, in both the human-readable default and the --json mode. Exit codes:
+reports, in both the human-readable default and the --json mode. Each command
+returns its report: the JSON document, and human lines built from that
+document only when they are printed. ``main`` prints one of the two. Exit codes:
 0 analysis ran (whatever the verdict), 2 malformed input, 3 a size guard
 refused the work (outcomes, lattice grid, lattice value size) or a value was
 too long to print, 4 operation required a viable market, 5 perturbation
@@ -20,7 +22,7 @@ from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from . import analysis, models, multiperiod
 from .errors import (
@@ -51,12 +53,12 @@ EXIT_CODES = {
 ENV_MAX_OUTCOMES = "MARTPOLY_MAX_OUTCOMES"
 
 
-def _fmt_vec(v: Sequence[Fraction]) -> str:
-    return "(" + ", ".join(format_rational(x) for x in v) + ")"
+def _fmt_vec(v: Sequence[str]) -> str:
+    return "(" + ", ".join(v) + ")"
 
 
 def _vec_strings(v: Sequence[Fraction]) -> list[str]:
-    return [format_rational(x) for x in v]
+    return [format_rational(x) if x else "0" for x in v]
 
 
 def _generator_strings(gens: GeneratorSet) -> list[list[str]]:
@@ -200,22 +202,16 @@ def _json_text(document: object, nodes: Sequence[tuple[int, str]] = ()) -> str:
     return "".join(out)
 
 
-def _emit(
-    args: argparse.Namespace,
-    document: dict,
-    human: Callable[[], list[str]],
-    nodes: Sequence[tuple[int, str]] = (),
-) -> None:
-    """Print the report: ``document`` as indented JSON under --json, else ``human()``.
+class _Report(NamedTuple):
+    """A command's report: ``main`` prints ``document`` under --json, else ``human()``.
 
-    ``nodes`` fills a tree report's holes (see ``_json_text``). The human
-    lines are built only when they are printed.
+    ``human`` builds its lines from ``document`` alone, and only when they are
+    printed. ``nodes`` fills a tree report's holes (see ``_json_text``).
     """
-    if args.json:
-        print(_json_text(document, nodes))
-    else:
-        for line in human():
-            print(line)
+
+    document: dict
+    human: Callable[[], list[str]]
+    nodes: Sequence[tuple[int, str]] = ()
 
 
 def _market_report(mkt: OnePeriodMarket, char: analysis.EmmCharacterization) -> dict:
@@ -231,10 +227,14 @@ def _market_report(mkt: OnePeriodMarket, char: analysis.EmmCharacterization) -> 
     }
 
 
-def _describe_supports(char: analysis.EmmCharacterization) -> list[str]:
+def _generator_lines(doc: dict) -> list[str]:
+    return [f"  {_fmt_vec(g)}" for g in doc["generators"]]
+
+
+def _describe_supports(doc: dict) -> list[str]:
     lines = ["equivalent measures: mixtures with positive weight meeting, per outcome:"]
-    k = len(char.generators)
-    for i, support in enumerate(char.outcome_support):
+    k = len(doc["generators"])
+    for i, support in enumerate(doc["outcome_support"]):
         label = f"  outcome {i + 1}:"
         if not support:
             lines.append(f"{label} impossible (no generator has mass here)")
@@ -246,7 +246,7 @@ def _describe_supports(char: analysis.EmmCharacterization) -> list[str]:
     return lines
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> _Report:
     mkt = _load_market(args.path)
     char = analysis.characterize(mkt, max_outcomes=_max_outcomes(args))
     doc = _market_report(mkt, char)
@@ -256,32 +256,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"outcomes: {doc['outcomes']}  assets: {doc['assets']}",
             f"viable (arbitrage-free): {doc['viable']}",
             f"complete: {doc['complete']}",
-            f"generators ({len(char.generators)}):",
+            f"generators ({len(doc['generators'])}):",
+            *_generator_lines(doc),
         ]
-        lines += [f"  {_fmt_vec(g)}" for g in char.generators]
-        if char.witness is not None:
-            lines.append(f"witness measure: {_fmt_vec(char.witness)}")
-        return lines + _describe_supports(char)
+        if doc["witness"] is not None:
+            lines.append(f"witness measure: {_fmt_vec(doc['witness'])}")
+        return lines + _describe_supports(doc)
 
-    _emit(args, doc, human)
-    return EXIT_OK
+    return _Report(doc, human)
 
 
-def cmd_generators(args: argparse.Namespace) -> int:
+def cmd_generators(args: argparse.Namespace) -> _Report:
     mkt = _load_market(args.path)
     char = analysis.characterize(mkt, max_outcomes=_max_outcomes(args))
     doc = {"generators": _generator_strings(char.generators)}
 
     def human() -> list[str]:
-        return [f"{len(char.generators)} generator(s):"] + [
-            f"  {_fmt_vec(g)}" for g in char.generators
-        ]
+        return [f"{len(doc['generators'])} generator(s):", *_generator_lines(doc)]
 
-    _emit(args, doc, human)
-    return EXIT_OK
+    return _Report(doc, human)
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: argparse.Namespace) -> _Report:
     mkt = _load_market(args.path)
     payoff = _parse_rational_list(args.payoff, "--payoff")
     bounds = analysis.price_bounds(mkt, payoff, max_outcomes=_max_outcomes(args))
@@ -294,18 +290,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     }
 
     def human() -> list[str]:
-        left = "[" if bounds.low_attained_by_emm else "("
-        right = "]" if bounds.high_attained_by_emm else ")"
+        left = "[" if doc["low_attained_by_emm"] else "("
+        right = "]" if doc["high_attained_by_emm"] else ")"
         lines = [
-            f"payoff: {_fmt_vec(payoff)}",
+            f"payoff: {_fmt_vec(doc['payoff'])}",
             f"price range: {left}{doc['low']}, {doc['high']}{right}",
         ]
-        if bounds.low == bounds.high:
+        # a rational's string is canonical, so equal strings are equal values
+        if doc["low"] == doc["high"]:
             lines.append("degenerate range: the payoff is priced uniquely")
         return lines
 
-    _emit(args, doc, human)
-    return EXIT_OK
+    return _Report(doc, human)
 
 
 def _plan_document(plan: analysis.CompletionPlan) -> dict:
@@ -319,7 +315,7 @@ def _plan_document(plan: analysis.CompletionPlan) -> dict:
     }
 
 
-def cmd_complete(args: argparse.Namespace) -> int:
+def cmd_complete(args: argparse.Namespace) -> _Report:
     mkt = _load_market(args.path)
     weights = None
     if args.weights is not None:
@@ -333,27 +329,24 @@ def cmd_complete(args: argparse.Namespace) -> int:
         doc["applied_to"] = args.apply
 
     def human() -> list[str]:
-        if plan.is_empty:
+        if doc["already_complete"]:
             lines = ["market is already complete; nothing to add"]
         else:
-            lines = [f"adding {plan.added_payoff_rows.rows} asset(s):"]
-            for row, prices, price in zip(
-                plan.added_payoff_rows.entries, plan.price_map, plan.prices
-            ):
-                lines.append(
-                    f"  payoffs {_fmt_vec(row)}  generator prices {_fmt_vec(prices)}"
-                    f"  price {format_rational(price)}"
-                )
-            lines.append(f"weights: {_fmt_vec(plan.weights)}")
-        if args.apply is not None:
-            lines.append(f"extended market written to {args.apply}")
+            lines = [f"adding {len(doc['added_rows'])} asset(s):"]
+            lines += [
+                f"  payoffs {_fmt_vec(row)}  generator prices {_fmt_vec(prices)}"
+                f"  price {price}"
+                for row, prices, price in zip(doc["added_rows"], doc["price_map"], doc["prices"])
+            ]
+            lines.append(f"weights: {_fmt_vec(doc['weights'])}")
+        if "applied_to" in doc:
+            lines.append(f"extended market written to {doc['applied_to']}")
         return lines
 
-    _emit(args, doc, human)
-    return EXIT_OK
+    return _Report(doc, human)
 
 
-def cmd_tree_analyze(args: argparse.Namespace) -> int:
+def cmd_tree_analyze(args: argparse.Namespace) -> _Report:
     tm = multiperiod.tree_market_from_json_dict(_load_json(args.path))
     report = multiperiod.analyze_tree(tm, max_outcomes=_max_outcomes(args))
     # one entry per distinct record, shared by its components (see _json_text)
@@ -374,23 +367,22 @@ def cmd_tree_analyze(args: argparse.Namespace) -> int:
         "complete": report.complete,
         "components": [entries[id(r.characterization)] for r in report.components],
     }
+    nodes = [(r.component.time, r.component.node_id) for r in report.components]
 
     def human() -> list[str]:
         return [
-            f"tree viable: {report.viable}   tree complete: {report.complete}",
-            f"components ({len(report.components)}):",
+            f"tree viable: {doc['viable']}   tree complete: {doc['complete']}",
+            f"components ({len(nodes)}):",
         ] + [
-            f"  t={r.component.time} node={r.component.node_id}: "
-            f"b={r.component.market.outcomes} viable={r.viable} complete={r.complete}"
-            for r in report.components
+            f"  t={time} node={node}: "
+            f"b={entry['outcomes']} viable={entry['viable']} complete={entry['complete']}"
+            for (time, node), entry in zip(nodes, doc["components"])
         ]
 
-    nodes = [(r.component.time, r.component.node_id) for r in report.components]
-    _emit(args, doc, human, nodes)
-    return EXIT_OK
+    return _Report(doc, human, nodes)
 
 
-def cmd_tree_complete(args: argparse.Namespace) -> int:
+def cmd_tree_complete(args: argparse.Namespace) -> _Report:
     tm = multiperiod.tree_market_from_json_dict(_load_json(args.path))
     plans = multiperiod.complete_tree(tm, max_outcomes=_max_outcomes(args))
     # one entry per distinct plan, shared by its components (see _json_text)
@@ -400,21 +392,21 @@ def cmd_tree_complete(args: argparse.Namespace) -> int:
         for key, plan in distinct.items()
     }
     doc = {"plans": [entries[id(p.plan)] for p in plans]}
+    nodes = [(p.time, p.node_id) for p in plans]
 
     def human() -> list[str]:
-        if not plans:
+        if not nodes:
             return ["tree is already complete; nothing to add"]
-        lines = [f"{len(plans)} component(s) need assets:"]
-        for p in plans:
-            rows = ", ".join(_fmt_vec(r) for r in p.plan.added_payoff_rows.entries)
-            lines.append(f"  t={p.time} node={p.node_id}: add {rows}")
+        lines = [f"{len(nodes)} component(s) need assets:"]
+        for (time, node), entry in zip(nodes, doc["plans"]):
+            rows = ", ".join(_fmt_vec(r) for r in entry["added_rows"])
+            lines.append(f"  t={time} node={node}: add {rows}")
         return lines
 
-    _emit(args, doc, human, [(p.time, p.node_id) for p in plans])
-    return EXIT_OK
+    return _Report(doc, human, nodes)
 
 
-def cmd_kkl(args: argparse.Namespace) -> int:
+def cmd_kkl(args: argparse.Namespace) -> _Report:
     if args.seed is not None and args.epsilon is None:
         raise InputError("--seed chooses a perturbation and needs --epsilon")
     emm_p = parse_rational(args.emm_p)
@@ -482,10 +474,11 @@ def cmd_kkl(args: argparse.Namespace) -> int:
 
     def human() -> list[str]:
         lines = [
-            f"grid: {doc['grid_states']} states over {params.steps} step(s), dt = {dt}",
-            f"viable: {viable}",
+            f"grid: {doc['grid_states']} states over {doc['params']['steps']} step(s), "
+            f"dt = {dt}",
+            f"viable: {doc['viable']}",
         ]
-        if viable:
+        if doc["viable"]:
             violations = doc["completion_violations"]
             lines.append(f"strike-1 put value at the root: {doc['put_root_value']}")
             lines.append(
@@ -498,12 +491,11 @@ def cmd_kkl(args: argparse.Namespace) -> int:
                 f"perturbed terminal (attempt {perturbation['attempts']}): completion "
                 f"check empty, max deviation {perturbation['max_deviation']}"
             )
-        if args.out is not None:
-            lines.append(f"surface written to {args.out}")
+        if "surface_csv" in doc:
+            lines.append(f"surface written to {doc['surface_csv']}")
         return lines
 
-    _emit(args, doc, human)
-    return EXIT_OK
+    return _Report(doc, human)
 
 
 @functools.cache
@@ -597,10 +589,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
+        print(_json_text(report.document, report.nodes) if args.json
+              else "\n".join(report.human()))
     except MartpolyError as exc:
         code = next((c for cls, c in EXIT_CODES.items() if isinstance(exc, cls)), None)
         if code is None:
@@ -608,6 +601,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return code
+    return EXIT_OK
 
 if __name__ == "__main__":
     sys.exit(main())

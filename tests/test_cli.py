@@ -8,12 +8,13 @@ import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from martpoly import MartingaleSystem, models, multiperiod, parse_rational
+from martpoly import InternalContractError, MartingaleSystem, models, multiperiod, parse_rational
 from martpoly.cli import _json_text, main
 
 
@@ -69,6 +70,15 @@ def test_analyze_market_without_measures(tmp_path, capsys):
     assert code == 0
     assert doc["viable"] is False
     assert doc["generators"] == []
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().out == (
+        "outcomes: 4  assets: 2\n"
+        "viable (arbitrage-free): False\n"
+        "complete: False\n"
+        "generators (0):\n"
+        "equivalent measures: mixtures with positive weight meeting, per outcome:\n"
+        + "".join(f"  outcome {i}: impossible (no generator has mass here)\n" for i in range(1, 5))
+    )
 
 
 def test_analyze_empty_assets_market(tmp_path, capsys):
@@ -227,6 +237,8 @@ def test_complete_already_complete(tmp_path, capsys):
     assert code == 0
     assert doc["already_complete"] is True
     assert doc["added_rows"] == []
+    assert main(["complete", path]) == 0
+    assert capsys.readouterr().out == "market is already complete; nothing to add\n"
 
 
 def test_complete_rejects_bad_weights(tmp_path, capsys):
@@ -280,9 +292,12 @@ def test_tree_malformed(tmp_path, capsys):
     root = {**BINOMIAL_TREE_DOC["nodes"][0], "prices": "1"}
     spelled = {**BINOMIAL_TREE_DOC, "nodes": [root] + BINOMIAL_TREE_DOC["nodes"][1:]}
     assert main(["tree", "analyze", write_doc(tmp_path, "s.json", spelled)]) == 2
-    # a parse error names the node and field, or the rates, it came from
     capsys.readouterr()
+    assert main(["tree", "analyze", write_doc(tmp_path, "l.json", [BINOMIAL_TREE_DOC])]) == 2
+    assert capsys.readouterr().err == "error: tree document must be a JSON object\n"
+    # a parse error names the node and field, or the rates, it came from
     nodes = BINOMIAL_TREE_DOC["nodes"]
+    top = nodes[0]
     weighted = [
         {**n, "probabilities": ["1/2", "x" if n["id"] == "d" else "1/2"]} if n["children"] else n
         for n in nodes
@@ -297,6 +312,18 @@ def test_tree_malformed(tmp_path, capsys):
             {"id": "a", "time": 1, "children": ["b"], "prices": ["1"]},
             {"id": "b", "time": 1, "children": ["a"], "prices": ["1"]},
         ]}, "nodes unreachable from the root: ['a', 'b']"),
+        ({"nodes": {"r": top}}, "nodes and rates must be lists"),
+        ({"rates": "0"}, "nodes and rates must be lists"),
+        ({"nodes": ["r"]}, "each node must be a JSON object"),
+        ({"nodes": [{"id": "r", "time": 0}]}, "node document lacks key 'prices'"),
+        ({"nodes": [{**top, "id": 0}]}, "node ids must be strings"),
+        ({"nodes": [{**top, "time": False}]}, "node 'r': time must be an integer"),
+        ({"nodes": [{**top, "time": "0"}]}, "node 'r': time must be an integer"),
+        ({"nodes": [{**top, "children": "u"}]}, "node 'r': children must be a list of ids"),
+        ({"nodes": [{**top, "children": ["u", 1]}]}, "node 'r': children must be a list of ids"),
+        ({"assets": -1}, "negative asset count"),
+        ({"nodes": [{**top, "prices": ["1", "1"]}] + nodes[1:]},
+         "node 'r' has 2 prices for 1 assets"),
     ]
     for change, message in cases:
         path = write_doc(tmp_path, "named.json", {**BINOMIAL_TREE_DOC, **change})
@@ -423,7 +450,8 @@ def test_print_limit_is_format_rationals_on_every_report(tmp_path, capsys, digit
 
 
 def test_one_period_json_reports_never_form_the_fraction_generators(tmp_path, capsys, monkeypatch):
-    # analyze, generators, bounds and complete print from the integer rays
+    # analyze, generators, bounds and complete print from the integer rays,
+    # the human reports as well as the --json ones
     from martpoly import analysis
 
     records = []
@@ -443,12 +471,71 @@ def test_one_period_json_reports_never_form_the_fraction_generators(tmp_path, ca
             ["bounds", path, "--payoff", payoff],
             ["complete", path],
         ):
-            assert main(argv + ["--json"]) == 0, argv
+            for json_flag in ([], ["--json"]):
+                assert main(argv + json_flag) == 0, argv
     capsys.readouterr()
-    assert len(records) == 8
+    assert len(records) == 16
     for char in records:
         assert len(char.generators) > 0
         assert "generators" not in vars(char.generators)
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "incomplete_market.json"],
+    ["analyze", "trinomial_market.json"],
+    ["generators", "incomplete_market.json"],
+    ["bounds", "trinomial_market.json", "--payoff=1,0,0"],
+    ["bounds", "incomplete_market.json", "--payoff=0,1,0,3"],
+    ["complete", "incomplete_market.json"],
+    ["complete", "trinomial_market.json", "--weights=1/3,2/3"],
+    ["tree", "analyze", "binomial_tree.json"],
+    ["tree", "complete", "trinomial_tree.json"],
+], ids=" ".join)
+def test_human_reports_format_each_value_once(argv, monkeypatch):
+    """A human report reads its document: it formats no rational the JSON does not."""
+    from martpoly import cli
+
+    calls = []
+
+    def counted(real):
+        return lambda *args: calls.append(args) or real(*args)
+
+    monkeypatch.setattr(cli, "format_rational", counted(cli.format_rational))
+    monkeypatch.setattr(cli, "format_ratio", counted(cli.format_ratio))
+    argv = [str(DEMOS / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--json"]) == 0
+    json_calls = len(calls)
+    assert main(argv) == 0
+    assert len(calls) - json_calls == json_calls > 0
+
+
+def test_json_reports_print_zeros_unformatted(capsys, monkeypatch):
+    from martpoly import cli
+
+    calls = []  # the numerator of each value formatted
+    real_rational, real_ratio = cli.format_rational, cli.format_ratio
+    monkeypatch.setattr(cli, "format_rational", lambda x: calls.append(x) or real_rational(x))
+    monkeypatch.setattr(cli, "format_ratio", lambda n, d: calls.append(n) or real_ratio(n, d))
+    code, doc = run_json(capsys, ["complete", str(DEMOS / "incomplete_market.json"), "--json"])
+    assert code == 0 and "0" in doc["price_map"][0]
+    assert len(calls) == 9 and 0 not in calls
+
+
+def test_internal_errors_are_reported_and_raised(tmp_path, capsys, monkeypatch):
+    from martpoly import analysis
+
+    def broken(*args, **kwargs):
+        raise InternalContractError("unreachable branch taken")
+
+    monkeypatch.setattr(analysis, "characterize", broken)
+    with pytest.raises(InternalContractError, match="unreachable branch taken"):
+        main(["analyze", write_doc(tmp_path, "m.json", EX4_DOC), "--json"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: unreachable branch taken\n"
 
 
 def test_main_reuses_one_parser(tmp_path, capsys):
@@ -509,6 +596,17 @@ def test_kkl_not_viable_still_reports(capsys):
     assert "put_root_value" not in doc
 
 
+def test_kkl_exhausted_perturbation_exits_5(capsys, monkeypatch):
+    monkeypatch.setattr(models, "_PERTURB_ATTEMPTS", 0)
+    argv = ["kkl", "--s0", "2", "--lambda", "1/8", "--eta", "1/8", "--steps", "4",
+            "--epsilon", "1/100"]
+    for json_flag in ([], ["--json"]):
+        assert main(argv + json_flag) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no completing perturbation found in 0 attempts\n"
+
+
 def test_kkl_epsilon_requires_viable_lattice(capsys):
     code = main(
         [
@@ -518,6 +616,18 @@ def test_kkl_epsilon_requires_viable_lattice(capsys):
     )
     assert code == 4
     assert capsys.readouterr().out == ""
+
+
+def test_kkl_out_requires_viable_lattice(tmp_path, capsys):
+    out = tmp_path / "surface.csv"
+    argv = ["kkl", "--s0", "1", "--lambda", "1/8", "--eta", "1/8", "--rate", "2",
+            "--steps", "1", "--out", str(out)]
+    for json_flag in ([], ["--json"]):
+        assert main(argv + json_flag) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no surface to write: the lattice is not viable\n"
+        assert not out.exists()
 
 
 def test_kkl_rejects_max_outcomes(capsys):

@@ -332,6 +332,22 @@ def test_tree_json_round_trip():
     assert [n.id for n in back.tree.nodes] == [n.id for n in tm.tree.nodes]
 
 
+def test_tree_json_round_trip_keeps_branch_probabilities():
+    # kkl_build gives every internal node its transition probabilities, and an
+    # absorbed state a single child
+    tm = kkl_build(kkl_params(1, "1/8", "3/16", rate="1/10", steps=3))
+    doc = json.loads(json.dumps(tree_market_to_json_dict(tm)))
+    internal = [n for n in doc["nodes"] if n["children"]]
+    assert internal and all(len(n["probabilities"]) == len(n["children"]) for n in internal)
+    assert all("probabilities" not in n for n in doc["nodes"] if not n["children"])
+    assert any(n["children"] == ["1.0.0"] for n in internal)
+    back = tree_market_from_json_dict(doc)
+    assert back.branch_probabilities == tm.branch_probabilities
+    assert back.prices == tm.prices and back.rates == tm.rates
+    assert back.tree.nodes == tm.tree.nodes
+    assert tree_market_to_json_dict(back) == doc
+
+
 def one_step_tree(root: dict, down: dict, assets: int = 1) -> dict:
     return {
         "assets": assets,
