@@ -2,8 +2,8 @@
 
 On a viable but incomplete market a payoff generally has a whole interval of
 arbitrage-free prices: the discounted values under the generator measures
-bound it, and an endpoint is reachable only when the generators achieving it
-jointly cover every outcome.
+bound it, and an equivalent measure reaches an endpoint only when the range is
+a single price, so one flag tells whether both ends are closed.
 """
 
 from fractions import Fraction
@@ -21,8 +21,7 @@ trinomial = make_market(rate=0, spot=[1], payoffs=[["1/2", "1", "2"]])
 
 digital = [0, 0, 1]  # pays one only in the top outcome
 bounds = price_bounds(trinomial, digital)
-lo = "[" if bounds.low_attained_by_emm else "("
-hi = "]" if bounds.high_attained_by_emm else ")"
+lo, hi = "[]" if bounds.low_attained_by_emm else "()"
 print(f"digital payoff price range: {lo}{bounds.low}, {bounds.high}{hi}")
 
 stock = trinomial.payoffs.row(0)

@@ -85,9 +85,7 @@ class PriceBounds:
     def low_attained_by_emm(self) -> bool:
         return self.low == self.high
 
-    @property
-    def high_attained_by_emm(self) -> bool:
-        return self.low == self.high
+    high_attained_by_emm = low_attained_by_emm
 
 
 @dataclass(frozen=True)

@@ -4,51 +4,29 @@ Commands: analyze, generators, bounds, complete, tree analyze, tree complete,
 kkl. Input documents carry every number as a rational string and so do the
 reports, in both the human-readable default and the --json mode. Each command
 returns its report: the JSON document, and human lines built from that
-document only when they are printed. ``main`` prints one of the two. Exit codes:
-0 analysis ran (whatever the verdict), 2 malformed input, 3 a size guard
-refused the work (outcomes, lattice grid, lattice value size) or a value was
-too long to print, 4 operation required a viable market, 5 perturbation
-retries exhausted.
+document only when they are printed. ``main`` prints one of the two and
+returns 0, whatever the verdict, or the ``exit_code`` of the error it reports
+(see ``errors``). A reader that closes stdout early still gets exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, TextIO
 
 from . import analysis, models, multiperiod
-from .errors import (
-    InputError,
-    LimitExceededError,
-    MartpolyError,
-    NotViableError,
-    PerturbationError,
-    quoted,
-)
+from .errors import InputError, MartpolyError, NotViableError, quoted
 from .geometry import DEFAULT_MAX_OUTCOMES, GeneratorSet
 from .market import OnePeriodMarket, market_from_json_dict, market_to_json_dict
 from .rationals import Vector, format_ratio, format_rational, parse_rational
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_LIMIT = 3
-EXIT_NOT_VIABLE = 4
-EXIT_PERTURBATION = 5
-
-EXIT_CODES = {
-    InputError: EXIT_INPUT,
-    LimitExceededError: EXIT_LIMIT,
-    NotViableError: EXIT_NOT_VIABLE,
-    PerturbationError: EXIT_PERTURBATION,
-}
 
 ENV_MAX_OUTCOMES = "MARTPOLY_MAX_OUTCOMES"
 
@@ -67,7 +45,7 @@ def _generator_strings(gens: GeneratorSet) -> list[list[str]]:
     return [[format_ratio(x, v[b]) if x else "0" for x in v[:b]] for v in gens.rays]
 
 
-@contextmanager
+@contextlib.contextmanager
 def _opened(path: str, mode: str) -> Iterator[TextIO]:
     """The file at ``path`` as UTF-8 text; an OS error on it is bad input."""
     try:
@@ -290,14 +268,14 @@ def cmd_bounds(args: argparse.Namespace) -> _Report:
     }
 
     def human() -> list[str]:
-        left = "[" if doc["low_attained_by_emm"] else "("
-        right = "]" if doc["high_attained_by_emm"] else ")"
+        # both ends are attained, exactly when the range is one price
+        attained = doc["low_attained_by_emm"]
+        left, right = "[]" if attained else "()"
         lines = [
             f"payoff: {_fmt_vec(doc['payoff'])}",
             f"price range: {left}{doc['low']}, {doc['high']}{right}",
         ]
-        # a rational's string is canonical, so equal strings are equal values
-        if doc["low"] == doc["high"]:
+        if attained:
             lines.append("degenerate range: the payoff is priced uniquely")
         return lines
 
@@ -592,16 +570,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
+        # flushed here, so a reader that left early is met in this try
         print(_json_text(report.document, report.nodes) if args.json
-              else "\n".join(report.human()))
+              else "\n".join(report.human()), flush=True)
     except MartpolyError as exc:
-        code = next((c for cls, c in EXIT_CODES.items() if isinstance(exc, cls)), None)
-        if code is None:
+        if exc.exit_code is None:
             print(f"internal error: {exc}", file=sys.stderr)
             raise
         print(f"error: {exc}", file=sys.stderr)
-        return code
-    return EXIT_OK
+        return exc.exit_code
+    except BrokenPipeError:
+        # the report was made and only its reader left: send what stdout still
+        # buffers to devnull, so the interpreter's last flush cannot fail again
+        with contextlib.suppress(OSError, ValueError):  # a stream without a descriptor
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

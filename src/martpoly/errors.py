@@ -1,12 +1,22 @@
-"""Exception hierarchy shared by the library and the command line front end."""
+"""Exception hierarchy shared by the library and the command line front end.
+
+Each error a user can cause carries the process exit code the command line
+returns for it, as ``exit_code``. An error whose ``exit_code`` is None (the
+base class, ``InternalContractError``) is a bug: the command line reports it
+as an internal error and lets it propagate.
+"""
 
 
 class MartpolyError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code: int | None = None
+
 
 class InputError(MartpolyError):
     """Malformed user input: documents, flags, dimensions, parameters."""
+
+    exit_code = 2
 
 
 class LimitExceededError(MartpolyError):
@@ -16,13 +26,19 @@ class LimitExceededError(MartpolyError):
     event-tree nodes.
     """
 
+    exit_code = 3
+
 
 class NotViableError(MartpolyError):
     """An operation required an arbitrage-free market and did not get one."""
 
+    exit_code = 4
+
 
 class PerturbationError(MartpolyError):
     """Terminal-value perturbation exhausted its retry budget."""
+
+    exit_code = 5
 
 
 class InternalContractError(MartpolyError):

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .market import OnePeriodMarket
 from .multiperiod import EventTree, TreeMarket, TreeNode
-from .rationals import Matrix, RationalLike, Vector, dot, format_rational, rat, vector
+from .rationals import Matrix, RationalLike, Vector, dot, format_ratio, rat, vector
 
 
 @dataclass(frozen=True)
@@ -778,7 +778,7 @@ def write_surface_csv(surface: DerivativeSurface, stream: TextIO) -> None:
                 lines.append(f"{t},{k},{n}{ending}")
             stream.write("".join(lines))
         except ValueError:
-            # name the value too long to print, as format_rational does
+            # name the value too long to print, as format_ratio does
             for n, d in pairs:
-                format_rational(Fraction(n, d))
+                format_ratio(n, d)
             raise

@@ -4,9 +4,7 @@ Values everywhere downstream (market systems, polytope vertices, lattice
 pricing) are canonical ``fractions.Fraction``s. Elimination itself runs
 fraction-free: each row is scaled once to integers by the lcm of its
 denominators, ``eliminate`` reduces the integer rows, and ``rref`` divides
-by the pivots only at the end. ``dot`` and ``mean_vector`` likewise add
-integer numerators over the lcm of the terms' denominators and build one
-Fraction per result. No floating point enters any decision path:
+by the pivots only at the end. No floating point enters any decision path:
 the verdicts rest on strict inequalities and exact ranks, and a tolerance
 would corrupt boundary cases such as measures sitting on a simplex face.
 """
@@ -77,10 +75,7 @@ def format_rational(value: Fraction) -> str:
     A value past the interpreter's limit on decimal digits raises
     ``LimitExceededError``, which names the limit.
     """
-    try:
-        return str(value)
-    except ValueError:
-        raise _too_long_to_print(value.numerator, value.denominator) from None
+    return _reduced_text(value.numerator, value.denominator)
 
 
 def format_ratio(num: int, den: int) -> str:
@@ -93,18 +88,19 @@ def format_ratio(num: int, den: int) -> str:
     if g != 1:
         num //= g
         den //= g
+    return _reduced_text(num, den)
+
+
+def _reduced_text(num: int, den: int) -> str:
+    """The text of the reduced ratio num/den, den > 0; the one too-long refusal."""
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        raise _too_long_to_print(num, den) from None
-
-
-def _too_long_to_print(num: int, den: int) -> LimitExceededError:
-    bits = num.bit_length() + den.bit_length()
-    return LimitExceededError(
-        f"a {bits}-bit rational is too long to print: over the limit of "
-        f"{sys.get_int_max_str_digits()} decimal digits"
-    )
+        bits = num.bit_length() + den.bit_length()
+        raise LimitExceededError(
+            f"a {bits}-bit rational is too long to print: over the limit of "
+            f"{sys.get_int_max_str_digits()} decimal digits"
+        ) from None
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -145,30 +141,16 @@ def vectors(rows: Iterable[Iterable[RationalLike]]) -> tuple[Vector, ...]:
     return tuple(vector(row) for row in rows)
 
 
-def _common_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of the terms n/d as one unreduced pair: (numerator, lcm of the d)."""
-    den = lcm(*[d for _, d in terms])
-    return sum([n * (den // d) for n, d in terms]), den
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    """Exact dot product, summed over one common denominator.
+    """Exact dot product.
 
-    Terms with a zero factor are skipped; the other entries must be Fractions
-    or ints, and any other number (a float, a Decimal) raises ``InputError``.
+    The entries must be Fractions or ints; any other number (a float, a
+    Decimal) raises ``InputError``.
     """
     if len(u) != len(v):
         raise InputError(f"dot product of lengths {len(u)} and {len(v)}")
-    try:
-        terms = [
-            (a.numerator * b.numerator, a.denominator * b.denominator)
-            for a, b in zip(u, v)
-            if a and b
-        ]
-    except AttributeError:
-        raise InputError("dot product of values that are not Fractions or ints") from None
-    num, den = _common_sum(terms)
-    return Fraction(num, den)
+    _require_exact((*u, *v), "dot product")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def mean_vector(vs: Sequence[Sequence[Fraction]]) -> Vector:
@@ -183,14 +165,14 @@ def mean_vector(vs: Sequence[Sequence[Fraction]]) -> Vector:
     for v in vs:
         if len(v) != width:
             raise InputError(f"mean of vectors of lengths {width} and {len(v)}")
-    out = []
-    for col in zip(*vs):
-        try:
-            num, den = _common_sum([(x.numerator, x.denominator) for x in col])
-        except AttributeError:
-            raise InputError("mean of values that are not Fractions or ints") from None
-        out.append(Fraction(num, den * len(vs)))
-    return tuple(out)
+    _require_exact([x for v in vs for x in v], "mean")
+    return tuple(sum(col, Fraction(0)) / len(vs) for col in zip(*vs))
+
+
+def _require_exact(values: Iterable[object], what: str) -> None:
+    """Refuse any value that is not a Fraction or an int (a float, a Decimal)."""
+    if not all(isinstance(x, (Fraction, int)) for x in values):
+        raise InputError(f"{what} of values that are not Fractions or ints")
 
 
 def unit_vector(index: int, length: int) -> Vector:

@@ -35,7 +35,7 @@ from martpoly import (
 from martpoly.rationals import dot, format_rational, mean_vector, unit_vector
 from test_geometry import SMALL, small_systems
 from test_rationals import SUMMANDS
-from util import random_market, random_system, random_viable_market
+from util import random_market, random_system, random_viable_market, refuses
 
 
 def V(*xs):
@@ -625,3 +625,10 @@ def test_ray_paths_equal_their_fraction_oracles(case):
         tuple(g[i] / discount for g in fractions) for i in char.completing_outcomes
     )
     assert all(type(x) is Fraction for row in plan.price_map for x in row)
+
+
+def test_mixture_needs_one_weight_per_generator():
+    gens = characterize(TRINOMIAL).generators
+    assert len(gens) == 2
+    with refuses(InputError, "one weight per generator required"):
+        mixture(gens, (Fraction(1),))

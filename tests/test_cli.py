@@ -3,7 +3,9 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,8 +16,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import martpoly
 from martpoly import InternalContractError, MartingaleSystem, models, multiperiod, parse_rational
 from martpoly.cli import _json_text, main
+from martpoly.errors import (
+    InputError,
+    LimitExceededError,
+    MartpolyError,
+    NotViableError,
+    PerturbationError,
+)
 
 
 EX4_DOC = {"rate": "0", "spot": ["1"], "payoffs": [["2", "0", "0", "0"]]}
@@ -922,3 +932,121 @@ def test_tree_reports_match_json_dumps_of_their_documents(tmp_path_factory, doc)
             assert main(["tree", command, path, "--json"]) == code
         text = "" if document is None else json.dumps(document, sort_keys=True, indent=2) + "\n"
         assert out.getvalue() == text
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**EMPTY_ASSETS_DOC, "outcomes": 0}, "a market needs at least one outcome"),
+        ({**TRINOMIAL_DOC, "probabilities": ["1/2", "1/2"]}, "one probability per outcome required"),
+        ({**TRINOMIAL_DOC, "outcomes": 4}, "payoff rows have 3 columns, outcomes=4"),
+    ],
+)
+def test_market_document_refusals_exit_2(tmp_path, capsys, doc, message):
+    assert main(["analyze", write_doc(tmp_path, "m.json", doc), "--json"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--steps", "0"], "step count must be a positive integer"),
+        (["--steps", "3", "--horizon", "0"], "horizon must be positive"),
+    ],
+)
+def test_kkl_step_and_horizon_refusals_exit_2(capsys, extra, message):
+    assert main(["kkl", "--s0", "2", "--lambda", "1/8", "--eta", "1/8", *extra]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+USER_ERRORS = [
+    (InputError, 2),
+    (LimitExceededError, 3),
+    (NotViableError, 4),
+    (PerturbationError, 5),
+]
+
+
+@pytest.mark.parametrize("error, code", USER_ERRORS)
+def test_each_user_error_carries_its_exit_code(error, code):
+    class Narrower(error):
+        pass
+
+    assert error.exit_code == error("x").exit_code == Narrower.exit_code == code
+
+
+def test_internal_errors_carry_no_exit_code():
+    assert MartpolyError.exit_code is None
+    assert InternalContractError.exit_code is None
+
+
+@pytest.fixture
+def failing_generators(monkeypatch):
+    """Make the ``generators`` command raise a given error, through a fresh parser."""
+    from martpoly import cli
+
+    def install(exc):
+        def command(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_generators", command)
+        cli.build_parser.cache_clear()
+
+    yield install
+    cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("error, code", USER_ERRORS)
+def test_main_returns_the_exit_code_of_the_error_a_command_raises(
+    failing_generators, tmp_path, capsys, error, code
+):
+    failing_generators(error("refused for a reason"))
+    path = write_doc(tmp_path, "m.json", EX4_DOC)
+    for json_flag in ([], ["--json"]):
+        assert main(["generators", path, *json_flag]) == code
+        assert capsys.readouterr() == ("", "error: refused for a reason\n")
+
+
+@pytest.mark.parametrize("error", [MartpolyError, InternalContractError])
+def test_errors_without_an_exit_code_are_internal_and_propagate(
+    failing_generators, tmp_path, capsys, error
+):
+    failing_generators(error("a bug"))
+    with pytest.raises(error, match="^a bug$"):
+        main(["generators", write_doc(tmp_path, "m.json", EX4_DOC), "--json"])
+    assert capsys.readouterr() == ("", "internal error: a bug\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_stdout_closed_before_the_report_exits_0_quietly(buffered):
+    # the pipe's reading end is closed before the child starts, so its first
+    # write of the report fails; buffered, that write is the flush in main
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(martpoly.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "martpoly.cli", "bounds",
+             str(DEMOS / "trinomial_market.json"), "--payoff", "0,0,1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_a_stream_that_breaks_its_pipe_in_process_exits_0(tmp_path, capsys):
+    # such a stream has no file descriptor to point at devnull
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    stream = BrokenPipe()
+    with redirect_stdout(stream):
+        assert main(["analyze", write_doc(tmp_path, "m.json", EX4_DOC), "--json"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert stream.getvalue() == ""

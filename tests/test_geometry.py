@@ -31,7 +31,7 @@ from martpoly import (
     vector,
 )
 from test_rationals import SUMMANDS, fraction_rref
-from util import random_system
+from util import random_system, refuses
 
 
 def V(*xs):
@@ -538,3 +538,8 @@ def test_a_wrong_length_generator_is_refused():
     gens = enumerate_generators(system_from_rows([[1, 2, 3]], [2]))
     with pytest.raises(AttributeError):
         gens.missing
+
+
+def test_convex_hull_member_refuses_vectors_of_another_length():
+    with refuses(InputError, "hull vectors must match the point's length"):
+        convex_hull_member(vector([1, 2]), [vector([1, 2]), vector([1])])

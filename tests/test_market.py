@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from martpoly import rationals
 from martpoly import (
     InputError,
+    MartingaleSystem,
     Matrix,
     augmented_matrix,
     build_system,
@@ -23,7 +24,7 @@ from martpoly import (
     system_from_rows,
 )
 from test_rationals import fraction_rref
-from util import random_market
+from util import random_market, refuses
 
 
 def test_build_system_is_payoffs_and_grown_spot():
@@ -275,3 +276,16 @@ def test_reduction_matches_fraction_gauss_jordan(sys):
         for i, (row, p) in enumerate(zip(rows, pivots)):
             assert max(j for j in range(b) if row[j]) == p
             assert all(row[q] == 0 for k, q in enumerate(pivots) if k != i)
+
+
+def test_market_refusals_name_what_is_wrong():
+    with refuses(InputError, "a market needs at least one outcome"):
+        make_market(rate=0, spot=[], payoffs=[], outcomes=0)
+    with refuses(InputError, "one probability per outcome required"):
+        make_market(rate=0, spot=[1], payoffs=[["1/2", 1, 2]], probabilities=["1/2", "1/2"])
+    with refuses(InputError, "payoff rows have 3 columns, outcomes=4"):
+        make_market(rate=0, spot=[1], payoffs=[["1/2", 1, 2]], outcomes=4)
+    with refuses(InputError, "rate -1 makes the one-period discount undefined"):
+        market_from_system([[1, 2]], [1], rate=-1)
+    with refuses(InputError, "one right-hand side entry per asset row required"):
+        MartingaleSystem(Matrix.from_rows([[1, 2]]), ())

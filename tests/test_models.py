@@ -50,7 +50,7 @@ from martpoly import (
 from martpoly import cli, models
 from martpoly.models import EmmParameter, LatticeValues, NodeWeights, kkl_grid_size
 from martpoly.rationals import RationalLike, rat
-from util import random_viable_trinomial
+from util import random_viable_trinomial, refuses
 
 
 def test_factor_viability_inside():
@@ -961,11 +961,14 @@ def test_write_surface_csv_refuses_a_value_too_long_to_print():
     surface = kkl_backward_induction(params, put_terminal(params))
     root = surface.value(0, 2)
     assert root.denominator.bit_length() > (10**640).bit_length()
+    # the root is the first row, so the refusal names its bits
+    bits = root.numerator.bit_length() + root.denominator.bit_length()
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        with pytest.raises(
-            LimitExceededError, match="too long to print: over the limit of 640 decimal digits"
+        with refuses(
+            LimitExceededError,
+            f"a {bits}-bit rational is too long to print: over the limit of 640 decimal digits",
         ):
             write_surface_csv(surface, io.StringIO())
     finally:
@@ -1130,3 +1133,44 @@ def test_node_weights_match_the_fraction_closed_forms_at_the_bounds():
         params = kkl_params(s0=4, lam="1/64", eta="1/64", rate=rate, horizon=1, steps=6)
         assert kkl_viability(params)
         assert kkl_node_weights(params, "2/5") == fraction_node_weights(params, "2/5")
+
+
+def test_write_surface_csv_raises_a_stream_error_as_it_came():
+    # every value prints, so the ValueError of a stream closed after the
+    # header is not a value's refusal and passes through unchanged
+    class ClosesAfterHeader(io.StringIO):
+        def write(self, text):
+            written = super().write(text)
+            self.close()
+            return written
+
+    params = kkl_params(s0=2, lam="1/8", eta="1/8", steps=3)
+    surface = kkl_backward_induction(params, put_terminal(params))
+    with refuses(ValueError, "I/O operation on closed file"):
+        write_surface_csv(surface, ClosesAfterHeader())
+
+
+def test_model_refusals_name_what_is_wrong():
+    three = make_factor_model(["1/2", 1, 2])
+    two = make_factor_model(["1/2", 2])
+    with refuses(InputError, "at least one factor required"):
+        make_factor_model([])
+    with refuses(InputError, "rate -1 makes the one-period discount undefined"):
+        make_factor_model([1, 2], rate=-1)
+    with refuses(InputError, "three factors required, got 2"):
+        trinomial_emms(two)
+    with refuses(InputError, "three factors required, got 2"):
+        trinomial_completion_condition([0, 0, 1], two)
+    with refuses(InputError, "payoff needs 3 entries, got 2"):
+        trinomial_completion_condition([0, 1], three)
+    with refuses(InputError, "payoff needs 3 entries, got 4"):
+        trinomial_price_interval([0, 0, 0, 1], three)
+    with refuses(InputError, "step count must be a positive integer"):
+        kkl_params(s0=2, lam="1/8", eta="1/8", steps=0)
+    with refuses(InputError, "horizon must be positive"):
+        kkl_params(s0=2, lam="1/8", eta="1/8", horizon=0, steps=3)
+    params = kkl_params(s0=2, lam="1/8", eta="1/8", steps=3)
+    with refuses(InputError, "states are nonnegative integers"):
+        kkl_transition(params, -1)
+    with refuses(InputError, "only branching states k >= 1 carry a trinomial measure"):
+        kkl_node_emm(params, 0, "1/2")

@@ -24,6 +24,7 @@ from martpoly import (
     vector,
 )
 from martpoly.rationals import Echelon, format_ratio
+from util import refuses
 
 
 def test_vector_coerces_any_iterable_of_rationals():
@@ -388,6 +389,8 @@ def test_dot_and_mean_vector_keep_their_refusals():
 def test_dot_and_mean_vector_refuse_inexact_numbers():
     with pytest.raises(InputError, match="^dot product of values that are not Fractions or ints$"):
         dot((Fraction(1), 0.5), (Fraction(1), Fraction(2)))
+    with pytest.raises(InputError, match="^dot product of values that are not Fractions or ints$"):
+        dot((Fraction(1), 0.5), (Fraction(1), Fraction(0)))  # a zero term is checked too
     with pytest.raises(InputError, match="^mean of values that are not Fractions or ints$"):
         mean_vector([(Fraction(1),), (Decimal("0.5"),)])
 
@@ -398,3 +401,16 @@ def test_mean_vector_refuses_a_ragged_family():
         mean_vector([(Fraction(1), Fraction(2)), (Fraction(1),)])
     with pytest.raises(InputError, match="^mean of vectors of lengths 1 and 3$"):
         mean_vector([(Fraction(1),), (Fraction(1),), (Fraction(1), Fraction(2), Fraction(3))])
+
+
+def test_matrix_and_solution_refusals_name_what_is_wrong():
+    with refuses(InputError, "negative column count"):
+        Matrix((), -1)
+    with refuses(InputError, "ragged matrix: expected 2 columns, got 1"):
+        Matrix.from_rows([[1, 2], [3]])
+    with refuses(InputError, "matrix has 2 columns, vector has 3"):
+        Matrix.from_rows([[1, 2]]).mul_vec(vector([1, 2, 3]))
+    with refuses(InputError, "no solutions to combine: system is inconsistent"):
+        solve(Matrix.from_rows([[1, 1], [1, 1]]), [0, 1]).solution(())
+    with refuses(InputError, "one coefficient per basis vector required"):
+        solve(Matrix.from_rows([[1, 1]]), [1]).solution(())

@@ -1,9 +1,12 @@
-"""Shared builders for randomized tests."""
+"""Shared builders for randomized tests, and a check of whole error messages."""
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+
+import pytest
 
 from martpoly import (
     FactorModel,
@@ -75,3 +78,8 @@ def random_viable_trinomial(rng: random.Random) -> FactorModel:
         grown = mid
     spot = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
     return make_factor_model([lo, mid, hi], rate=grown - 1, spot=spot)
+
+
+def refuses(error: type[BaseException], message: str):
+    """``pytest.raises(error)`` that also pins the whole message."""
+    return pytest.raises(error, match=f"^{re.escape(message)}$")
