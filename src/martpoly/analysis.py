@@ -23,14 +23,8 @@ from math import lcm
 from .errors import InputError, NotViableError
 from .geometry import DEFAULT_MAX_OUTCOMES, GeneratorSet, enumerate_generators
 from .market import OnePeriodMarket, build_system
-from .rationals import (
-    Matrix,
-    RationalLike,
-    Vector,
-    rank,  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
-    unit_vector,
-    vector,
-)
+from .rationals import Matrix, RationalLike, Vector, rat, scaled_integers, unit_vector, vector
+from .rationals import rank  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
 
 
 @dataclass(frozen=True)
@@ -216,8 +210,7 @@ def price_bounds(
         raise NotViableError("price bounds are undefined without an equivalent measure")
     # generator j's value is (s_j / t_j) / scale, with s_j the integer payoff's
     # dot with x^j; t_j > 0, so the extremes are picked by cross-multiplying
-    scale = lcm(*(x.denominator for x in c))
-    cs = [x.numerator * (scale // x.denominator) for x in c]
+    cs, scale = scaled_integers(c)
     rays = char.generators.rays
     values = [(sum([a * x for a, x in zip(cs, v) if x]), v[b]) for v in rays]
     least = most = values[0]
@@ -230,34 +223,31 @@ def price_bounds(
     return bounds_from_values(extremes, 1 + mkt.rate)
 
 
-def bounds_from_values(values: Sequence[Fraction], discount: Fraction) -> PriceBounds:
+def bounds_from_values(values: Iterable[RationalLike], discount: RationalLike) -> PriceBounds:
     """Price bounds from each generator's undiscounted value of a payoff.
 
-    Only the two extreme values are divided by ``discount``; a negative one
-    (a rate below -1) swaps them. Attainment is read off the result, so the
+    The values and the discount are coerced by ``vector`` and ``rat``. Only
+    the two extreme values are divided by ``discount``; a negative one (a
+    rate below -1) swaps them. Attainment is read off the result, so the
     values must come from the generators of a viable market.
     """
+    values, discount = vector(values), rat(discount)
     least, most = min(values), max(values)
     if discount < 0:
         least, most = most, least
     return PriceBounds(low=least / discount, high=most / discount)
 
 
-def mixture(gens: GeneratorSet, weights: Sequence[Fraction]) -> Vector:
+def mixture(gens: GeneratorSet, weights: Iterable[RationalLike]) -> Vector:
     """Convex combination of the generators under the given weights.
 
-    The weights are scaled to integers over the lcm of their denominators and
-    mixed by ``_mix``, off the rays. They must be Fractions or ints; any
-    other number (a float, a Decimal), zero included, raises ``InputError``.
+    The weights are coerced by ``vector``, scaled to integers over the lcm of
+    their denominators and mixed by ``_mix``, off the rays.
     """
-    if len(weights) != len(gens):
+    w = vector(weights)
+    if len(w) != len(gens):
         raise InputError("one weight per generator required")
-    try:
-        den = lcm(*[w.denominator for w in weights])
-        ints = [w.numerator * (den // w.denominator) for w in weights]
-    except AttributeError:
-        raise InputError("mixture weights must be Fractions or ints") from None
-    return _mix(gens, ints, den)
+    return _mix(gens, *scaled_integers(w))
 
 
 def validate_weights(

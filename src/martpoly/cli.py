@@ -26,7 +26,7 @@ from . import analysis, models, multiperiod
 from .errors import InputError, MartpolyError, NotViableError, quoted
 from .geometry import DEFAULT_MAX_OUTCOMES, GeneratorSet
 from .market import OnePeriodMarket, market_from_json_dict, market_to_json_dict
-from .rationals import Vector, format_ratio, format_rational, parse_rational
+from .rationals import Vector, format_ratio, format_rational, parse_rational, require_count
 
 ENV_MAX_OUTCOMES = "MARTPOLY_MAX_OUTCOMES"
 
@@ -88,9 +88,7 @@ def _max_outcomes(args: argparse.Namespace) -> int:
         except ValueError:
             raise InputError(f"{ENV_MAX_OUTCOMES}={quoted(env)} is not an integer") from None
         source = ENV_MAX_OUTCOMES
-    if value < 1:
-        raise InputError(f"{source} must be at least 1, got {quoted(value)}")
-    return value
+    return require_count(value, 1, f"{source} must be at least 1, got {quoted(value)}")
 
 
 # A tree report's entries hold this as their "node" and "time" until

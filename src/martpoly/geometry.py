@@ -30,7 +30,8 @@ from math import gcd, lcm
 
 from .errors import InputError, InternalContractError, LimitExceededError
 from .market import MartingaleSystem, augmented_matrix
-from .rationals import Matrix, SolutionSpace, Vector, integer_row, solve
+from .rationals import Matrix, RationalLike, SolutionSpace, Vector, require_count, scaled_integers
+from .rationals import solve, vector, vectors as rational_rows
 
 Face = tuple[int, ...]
 
@@ -50,8 +51,8 @@ class GeneratorSet:
     (x_0, ..., x_{b-1}, t) with t > 0 and g = x / t, and ``supports`` each
     ray's positive outcome indices. A vector has exactly one such ray, so
     equality, hashing and ``repr`` go by the rays. ``of`` builds the set of
-    given Fraction vectors; ``generators`` forms them back, once, when first
-    read.
+    given rational vectors, coerced by ``vectors``; ``generators`` forms
+    them back as Fractions, once, when first read.
     """
 
     outcomes: int
@@ -59,6 +60,7 @@ class GeneratorSet:
     supports: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        require_count(self.outcomes, 0, "outcome count must be a nonnegative integer")
         for v in self.rays:
             if len(v) != self.outcomes + 1:
                 raise InputError(
@@ -66,10 +68,10 @@ class GeneratorSet:
                 )
 
     @classmethod
-    def of(cls, outcomes: int, vectors: Iterable[Sequence[Fraction]]) -> GeneratorSet:
-        """The set of the given vectors, each turned into its ray ``(g * t, t)``."""
-        rays = tuple(tuple(integer_row((*g, 1))) for g in vectors)
-        supports = tuple(tuple(i for i in range(outcomes) if v[i] > 0) for v in rays)
+    def of(cls, outcomes: int, vectors: Iterable[Iterable[RationalLike]]) -> GeneratorSet:
+        """The set of the given rational vectors, each turned into its ray ``(g * t, t)``."""
+        rays = tuple((*x, t) for x, t in map(scaled_integers, rational_rows(vectors)))
+        supports = tuple(tuple(i for i, x in enumerate(v[:-1]) if x > 0) for v in rays)
         return cls(outcomes, rays, supports)
 
     def __len__(self) -> int:
@@ -92,7 +94,7 @@ class GeneratorSet:
 
 
 def _normalize_face(face: Iterable[int], outcomes: int) -> Face:
-    idx = tuple(sorted(face))
+    idx = tuple(sorted(require_count(i, None, "face indices must be integers") for i in face))
     if not idx:
         raise InputError("a face needs at least one outcome index")
     if len(set(idx)) != len(idx):
@@ -203,9 +205,10 @@ def enumerate_generators(
     dimension (``face_walk_generators``). The result holds the sorted rays
     and the supports they were sorted by, and forms no Fraction until its
     ``generators`` are read. ``max_outcomes`` refuses a large market with
-    LimitExceededError before any work.
+    LimitExceededError before any work; it is a positive int.
     """
     b = sys.outcomes
+    require_count(max_outcomes, 1, "max_outcomes must be a positive integer, got {}", max_outcomes)
     if b > max_outcomes:
         raise LimitExceededError(
             f"{b} outcomes exceeds the enumeration guard of {max_outcomes}"
@@ -330,7 +333,9 @@ def brute_force_generators(sys: MartingaleSystem) -> GeneratorSet:
     return GeneratorSet.of(b, found)
 
 
-def convex_hull_member(point: Sequence[Fraction], vectors: Sequence[Vector]) -> bool:
+def convex_hull_member(
+    point: Iterable[RationalLike], vectors: Iterable[Iterable[RationalLike]]
+) -> bool:
     """Exact membership of a point in the convex hull of finitely many vectors.
 
     Decided by ``enumerate_generators`` on the weight polytope
@@ -338,14 +343,11 @@ def convex_hull_member(point: Sequence[Fraction], vectors: Sequence[Vector]) -> 
     vertex. Its outcome guard is the number of hull vectors, so none is
     refused; the cost follows the double description's rays.
     """
-    if not vectors:
+    p, hull = vector(point), rational_rows(vectors)
+    if not hull:
         return False
-    length = len(point)
-    for v in vectors:
-        if len(v) != length:
+    for v in hull:
+        if len(v) != len(p):
             raise InputError("hull vectors must match the point's length")
-    columns = Matrix(
-        tuple(tuple(v[i] for v in vectors) for i in range(length)), len(vectors)
-    )
-    weights = MartingaleSystem(columns, tuple(point))
-    return len(enumerate_generators(weights, max_outcomes=len(vectors))) > 0
+    columns = Matrix(tuple(tuple(v[i] for v in hull) for i in range(len(p))), len(hull))
+    return len(enumerate_generators(MartingaleSystem(columns, p), max_outcomes=len(hull))) > 0

@@ -4,6 +4,10 @@ A market with b outcomes, n risky assets, and a riskless rate r induces the
 linear system ``payoffs @ q == (1 + r) * spot`` whose solutions inside the
 standard simplex are exactly the martingale measures. One reduction of each
 system (``MartingaleSystem.reduced``) yields its rank facts and its vertices.
+
+The builders coerce rationals by ``rat`` and ``make_market`` its ``outcomes``
+by ``require_count`` (see ``rationals``); ``OnePeriodMarket`` and
+``MartingaleSystem`` trust their Fraction fields, and the reader checks shape.
 """
 
 from __future__ import annotations
@@ -14,17 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError
-from .rationals import (
-    Matrix,
-    RationalLike,
-    Vector,
-    eliminate,
-    format_rational,
-    integer_row,
-    rat,
-    vector,
-    vectors,
-)
+from .rationals import Matrix, RationalLike, Vector, eliminate, format_rational, rat
+from .rationals import require_count, scaled_integers, vector, vectors
 
 
 @dataclass(frozen=True)
@@ -78,8 +73,11 @@ def make_market(
     """Coercing constructor: accepts ints, Fractions, and rational strings.
 
     ``outcomes`` is only needed when there are no risky assets, since an empty
-    payoff list cannot reveal b.
+    payoff list cannot reveal b; when given, it is an int.
     """
+    if outcomes is not None:
+        require_count(outcomes, 1, "outcomes must be an integer",
+                      below="a market needs at least one outcome")
     payoff_rows = vectors(payoffs)
     if not payoff_rows and outcomes is None:
         raise InputError("outcome count required for a market with no assets")
@@ -109,7 +107,7 @@ def market_from_system(
     r = rat(rate)
     if 1 + r == 0:
         raise InputError("rate -1 makes the one-period discount undefined")
-    spot = tuple(rat(v) / (1 + r) for v in rhs)
+    spot = tuple(v / (1 + r) for v in vector(rhs))
     return OnePeriodMarket(rate=r, spot=spot, payoffs=m)
 
 
@@ -148,7 +146,7 @@ class MartingaleSystem:
         """
         b = self.outcomes
         rows = [[1] * (b + 1)] + [
-            integer_row(row[::-1] + (c,)) for row, c in zip(self.matrix.entries, self.rhs)
+            scaled_integers(row[::-1] + (c,))[0] for row, c in zip(self.matrix.entries, self.rhs)
         ]
         pivots = eliminate(rows, b + 1)
         order = sorted(zip((b - 1 - p if p < b else b for p in pivots), rows))
@@ -197,7 +195,7 @@ def market_from_json_dict(doc: Mapping) -> OnePeriodMarket:
     """Parse the market document: all numbers are rational strings.
 
     ``probabilities`` is optional; ``outcomes`` is optional except for markets
-    with an empty payoff list.
+    with an empty payoff list. ``make_market`` checks every value.
     """
     if not isinstance(doc, Mapping):
         raise InputError("market document must be a JSON object")
@@ -207,9 +205,6 @@ def market_from_json_dict(doc: Mapping) -> OnePeriodMarket:
         payoffs = doc["payoffs"]
     except KeyError as missing:
         raise InputError(f"market document lacks key {missing}") from None
-    outcomes = doc.get("outcomes")
-    if outcomes is not None and (isinstance(outcomes, bool) or not isinstance(outcomes, int)):
-        raise InputError("outcomes must be an integer")
     if not isinstance(payoffs, list):
         raise InputError("payoffs must be a list of lists")
     return make_market(
@@ -217,5 +212,5 @@ def market_from_json_dict(doc: Mapping) -> OnePeriodMarket:
         spot=spot,
         payoffs=payoffs,
         probabilities=doc.get("probabilities"),
-        outcomes=outcomes,
+        outcomes=doc.get("outcomes"),
     )

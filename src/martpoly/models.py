@@ -21,6 +21,11 @@ zero test made in the same pass. No Fraction is built from the node weights
 to the CSV. The weights are built once per lattice and measure
 (``NodeWeights``), so a put and its perturbations share them.
 
+``FactorModel`` and ``KklParams`` coerce their fields by ``rat`` and
+``require_count`` (see ``rationals``), so ``make_factor_model`` and
+``kkl_params`` name those classes; a lattice state and ``max_nodes`` are
+counts too. ``TrinomialEmmFamily`` trusts its Fraction endpoints.
+
 A value n / S_t is put in lowest terms only when it is read, and without a gcd
 at the width of S_t: its power of 2 is min(v2(n), v2(S_t)), read off the low
 bits. For its odd part, g = gcd(n mod P, P) with the probe P = T_odd D_odd,
@@ -51,7 +56,8 @@ from .errors import (
 )
 from .market import OnePeriodMarket
 from .multiperiod import EventTree, TreeMarket, TreeNode
-from .rationals import Matrix, RationalLike, Vector, dot, format_ratio, rat, vector
+from .rationals import Matrix, RationalLike, Vector, dot, format_ratio, rat, require_count
+from .rationals import scaled_integers, vector
 
 
 @dataclass(frozen=True)
@@ -60,14 +66,18 @@ class FactorModel:
 
     Factors are price multipliers, so they are kept nonnegative; zero is
     allowed (a price that can drop to nothing) because the lattice's bottom
-    branching node has exactly that down factor.
+    branching node has exactly that down factor. The fields are coerced by
+    ``vector`` and ``rat``: ints, Fractions or rational strings.
     """
 
     factors: Vector
-    rate: Fraction
-    spot: Fraction
+    rate: Fraction = Fraction(0)
+    spot: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "factors", vector(self.factors))
+        object.__setattr__(self, "rate", rat(self.rate))
+        object.__setattr__(self, "spot", rat(self.spot))
         if not self.factors:
             raise InputError("at least one factor required")
         if self.factors[0] < 0:
@@ -91,10 +101,7 @@ class FactorModel:
         )
 
 
-def make_factor_model(
-    factors: Iterable[RationalLike], rate: RationalLike = 0, spot: RationalLike = 1
-) -> FactorModel:
-    return FactorModel(factors=vector(factors), rate=rat(rate), spot=rat(spot))
+make_factor_model = FactorModel
 
 
 def factor_viability(fm: FactorModel) -> bool:
@@ -202,23 +209,24 @@ class KklParams:
 
     ``s0`` is the integer starting price, ``lam`` and ``eta`` the up and down
     intensities, ``horizon`` the terminal time split into ``steps`` equal
-    periods. Validation pins every physical transition probability strictly
-    inside (0, 1) at every reachable branching state, i.e.
+    periods. The rationals are coerced by ``rat``; ``s0`` and ``steps`` are
+    positive ints. Validation pins every physical transition probability
+    strictly inside (0, 1) at every reachable branching state, i.e.
     (lam + eta) * (s0 + steps - 1) * dt < 1.
     """
 
     s0: int
     lam: Fraction
     eta: Fraction
-    rate: Fraction
-    horizon: Fraction
-    steps: int
+    rate: Fraction = Fraction(0)
+    horizon: Fraction = Fraction(1)
+    steps: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.s0, int) or isinstance(self.s0, bool) or self.s0 < 1:
-            raise InputError("starting price must be a positive integer")
-        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 1:
-            raise InputError("step count must be a positive integer")
+        for name in ("lam", "eta", "rate", "horizon"):
+            object.__setattr__(self, name, rat(getattr(self, name)))
+        require_count(self.s0, 1, "starting price must be a positive integer")
+        require_count(self.steps, 1, "step count must be a positive integer")
         if self.lam <= 0 or self.eta <= 0:
             raise InputError("intensities must be positive")
         if self.horizon <= 0:
@@ -239,18 +247,7 @@ class KklParams:
         return self.rate * self.dt
 
 
-def kkl_params(
-    s0: int,
-    lam: RationalLike,
-    eta: RationalLike,
-    rate: RationalLike = 0,
-    horizon: RationalLike = 1,
-    steps: int = 1,
-) -> KklParams:
-    return KklParams(
-        s0=s0, lam=rat(lam), eta=rat(eta), rate=rat(rate), horizon=rat(horizon),
-        steps=steps,
-    )
+kkl_params = KklParams
 
 
 # Largest lattice grid, in states, that the library builds. The largest
@@ -294,8 +291,7 @@ def kkl_transition(params: KklParams, k: int) -> Vector:
     Branching states list (down, stay, up) = (eta k dt, 1 - (lam + eta) k dt,
     lam k dt); the absorbed state has the single certain branch.
     """
-    if k < 0:
-        raise InputError("states are nonnegative integers")
+    require_count(k, 0, "states are nonnegative integers")
     if k == 0:
         return (Fraction(1),)
     kdt = k * params.dt
@@ -308,12 +304,13 @@ def kkl_component_market(params: KklParams, k: int) -> OnePeriodMarket:
     Every component of the full lattice tree with current price k is this
     market, so checking one per distinct state checks them all.
     """
+    probabilities = kkl_transition(params, k)  # checks k before _child_states reads it
     row = tuple(map(Fraction, _child_states(k)))
     return OnePeriodMarket(
         rate=params.step_rate,
         spot=(Fraction(k),),
         payoffs=Matrix((row,), len(row)),
-        probabilities=kkl_transition(params, k),
+        probabilities=probabilities,
     )
 
 
@@ -326,6 +323,7 @@ def kkl_build(params: KklParams, *, max_nodes: int = 100_000) -> TreeMarket:
     path counts per state before any node is built. Distinct-state
     analysis via ``kkl_component_market`` scales polynomially instead.
     """
+    require_count(max_nodes, 1, "max_nodes must be a positive integer, got {}", max_nodes)
     paths = {params.s0: 1}
     total = 0
     for t in range(params.steps + 1):
@@ -505,8 +503,7 @@ def put_terminal(params: KklParams) -> dict[int, Fraction]:
 
 def kkl_node_emm(params: KklParams, k: int, p: RationalLike) -> Vector:
     """Node measure at branching state k via the trinomial closed form."""
-    if k < 1:
-        raise InputError("only branching states k >= 1 carry a trinomial measure")
+    require_count(k, 1, "only branching states k >= 1 carry a trinomial measure")
     fm = FactorModel(
         factors=tuple(Fraction(child, k) for child in _child_states(k)),
         rate=params.step_rate,
@@ -647,7 +644,7 @@ def kkl_backward_induction(
     integer_weights = node_weights.weights
     absorbed = node_weights.absorbed
 
-    terminal_scale = lcm(*(v.denominator for v in top))
+    scaled_top, terminal_scale = scaled_integers(top)
     limit = _max_scale_bits()
     if limit and any(top):
         bits = (denominator**steps).bit_length()
@@ -658,7 +655,7 @@ def kkl_backward_induction(
             )
 
     layers: list[list[int]] = [[]] * (steps + 1)
-    layers[steps] = [v.numerator * (terminal_scale // v.denominator) for v in top]
+    layers[steps] = scaled_top
     bad_layers: list[list[tuple[int, int]]] = []
     for t, row in zip(reversed(range(steps)), node_weights.layers):
         nxt = layers[t + 1]

@@ -6,6 +6,10 @@ a node and its children sits an ordinary one-period market, the node's
 component, and the whole tree is arbitrage-free (complete) exactly when all
 components are.
 
+``EventTree`` checks that ids are strings and times ints (``require_count``);
+``TreeMarket`` checks its asset count likewise and coerces every rational by
+``vector``. So the reader checks only the document's shape.
+
 The per-node records, ``TreeNode``, ``Component``, ``ComponentReport`` and
 ``TreeCompletion``, are named tuples, built once per node at a tuple's cost:
 immutable and hashable, with named fields. Like any tuple they also unpack
@@ -24,7 +28,7 @@ from .errors import InputError, NotViableError, quoted
 from .geometry import DEFAULT_MAX_OUTCOMES
 from .market import OnePeriodMarket
 from .market import build_system  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
-from .rationals import Matrix, RationalLike, Vector, format_rational, vector
+from .rationals import Matrix, RationalLike, Vector, format_rational, require_count, vector
 from .rationals import rank  # noqa: F401 -- wrapped by name in benchmarks/tracing.py
 
 
@@ -45,9 +49,17 @@ class EventTree:
         node_list = list(nodes)
         by_id: dict[str, TreeNode] = {}
         for node in node_list:
-            if node.id in by_id:
-                raise InputError(f"duplicate node id {quoted(node.id)}")
-            by_id[node.id] = node
+            node_id, time, children = node
+            if not isinstance(node_id, str):
+                raise InputError("node ids must be strings")
+            if type(time) is not int:  # an exact int passes; skip the call
+                require_count(time, None, "node {}: time must be an integer", node_id)
+            for child in children:  # costs a node less than all() over a generator
+                if not isinstance(child, str):
+                    raise InputError(f"node {quoted(node_id)}: children must be a list of ids")
+            if node_id in by_id:
+                raise InputError(f"duplicate node id {quoted(node_id)}")
+            by_id[node_id] = node
 
         parents: dict[str, str] = {}
         for node in node_list:
@@ -130,8 +142,7 @@ class TreeMarket:
         rates: Sequence[RationalLike],
         branch_probabilities: Mapping[str, Sequence[RationalLike]] | None = None,
     ):
-        if assets < 0:
-            raise InputError("negative asset count")
+        require_count(assets, 0, "assets must be an integer", below="negative asset count")
         self.tree = tree
         self.assets = assets
         values = _DocumentValues()
@@ -326,7 +337,7 @@ def tree_market_from_json_dict(doc: Mapping) -> TreeMarket:
 
     Schema: ``{"assets": n, "rates": [...], "nodes": [{"id", "time",
     "children", "prices", optional "probabilities"}, ...]}`` with all numbers
-    as rational strings.
+    as rational strings. ``EventTree`` and ``TreeMarket`` check every value.
     """
     if not isinstance(doc, Mapping):
         raise InputError("tree document must be a JSON object")
@@ -336,8 +347,6 @@ def tree_market_from_json_dict(doc: Mapping) -> TreeMarket:
         raw_nodes = doc["nodes"]
     except KeyError as missing:
         raise InputError(f"tree document lacks key {missing}") from None
-    if isinstance(assets, bool) or not isinstance(assets, int):
-        raise InputError("assets must be an integer")
     if not isinstance(raw_nodes, list) or not isinstance(rates, list):
         raise InputError("nodes and rates must be lists")
     nodes: list[TreeNode] = []
@@ -352,20 +361,16 @@ def tree_market_from_json_dict(doc: Mapping) -> TreeMarket:
             node_prices = raw["prices"]
         except KeyError as missing:
             raise InputError(f"node document lacks key {missing}") from None
-        if not isinstance(node_id, str):
-            raise InputError("node ids must be strings")
-        if isinstance(time, bool) or not isinstance(time, int):
-            raise InputError(f"node {quoted(node_id)}: time must be an integer")
         children = raw.get("children", [])
         if not isinstance(children, list):
             raise InputError(f"node {quoted(node_id)}: children must be a list of ids")
-        for child in children:  # a loop costs a node less than all() over a generator
-            if not isinstance(child, str):
-                raise InputError(f"node {quoted(node_id)}: children must be a list of ids")
         nodes.append(TreeNode(node_id, time, tuple(children)))
-        prices[node_id] = node_prices
-        if "probabilities" in raw:
-            probabilities[node_id] = raw["probabilities"]
+        try:
+            prices[node_id] = node_prices
+            if "probabilities" in raw:
+                probabilities[node_id] = raw["probabilities"]
+        except TypeError:
+            pass  # an unhashable id is no string, and EventTree refuses it
     tree = EventTree(nodes)
     return TreeMarket(
         tree=tree,

@@ -2,11 +2,19 @@
 
 Values everywhere downstream (market systems, polytope vertices, lattice
 pricing) are canonical ``fractions.Fraction``s. Elimination itself runs
-fraction-free: each row is scaled once to integers by the lcm of its
-denominators, ``eliminate`` reduces the integer rows, and ``rref`` divides
-by the pivots only at the end. No floating point enters any decision path:
-the verdicts rest on strict inequalities and exact ranks, and a tolerance
-would corrupt boundary cases such as measures sitting on a simplex face.
+fraction-free: each row is scaled once to integers by ``scaled_integers``,
+``eliminate`` reduces the integer rows, and ``rref`` divides by the pivots
+only at the end. No floating point enters any decision path: the verdicts
+rest on strict inequalities and exact ranks, and a tolerance would corrupt
+boundary cases such as measures sitting on a simplex face.
+
+A caller's numbers are read by two rules. Every public function coerces a
+rational on entry through ``rat`` (``vector``, ``vectors`` for lists): an int,
+a Fraction or a rational string, never a float, a Decimal or a bool. A count
+or an integer label goes through ``require_count``, an int that is not a bool
+with a floor, run by the type that holds it. ``Matrix``, ``OnePeriodMarket``,
+``MartingaleSystem`` and ``TrinomialEmmFamily`` trust their Fraction fields;
+their builders coerce them.
 """
 
 from __future__ import annotations
@@ -120,6 +128,22 @@ def rat(value: RationalLike) -> Fraction:
     raise InputError(f"cannot interpret {quoted(value)} as an exact rational")
 
 
+def require_count(
+    value: object, floor: int | None, refusal: str, *names: object, below: str | None = None
+) -> int:
+    """``value`` if it is an int, not a bool, and at least ``floor`` (None: no floor).
+
+    Else ``InputError(below)`` for an int under the floor, if ``below`` is
+    given, or ``InputError(refusal)``; ``names``, quoted, fill the message's
+    ``{}`` fields, so it is built only when raised.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(refusal.format(*map(quoted, names)))
+    if floor is not None and value < floor:
+        raise InputError((below or refusal).format(*map(quoted, names)))
+    return value
+
+
 def _require_list(values: object, of: str) -> None:
     """Refuse a value that is not a list: a string, a mapping or a scalar."""
     # lists and tuples skip the abstract-class checks, a microsecond a call
@@ -141,38 +165,24 @@ def vectors(rows: Iterable[Iterable[RationalLike]]) -> tuple[Vector, ...]:
     return tuple(vector(row) for row in rows)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    """Exact dot product.
-
-    The entries must be Fractions or ints; any other number (a float, a
-    Decimal) raises ``InputError``.
-    """
+def dot(u: Iterable[RationalLike], v: Iterable[RationalLike]) -> Fraction:
+    """Exact dot product of two lists of rationals, each coerced by ``vector``."""
+    u, v = vector(u), vector(v)
     if len(u) != len(v):
         raise InputError(f"dot product of lengths {len(u)} and {len(v)}")
-    _require_exact((*u, *v), "dot product")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def mean_vector(vs: Sequence[Sequence[Fraction]]) -> Vector:
-    """Componentwise average of a nonempty family of equal-length vectors.
-
-    The entries must be Fractions or ints; any other number (a float, a
-    Decimal) raises ``InputError``.
-    """
+def mean_vector(vs: Iterable[Iterable[RationalLike]]) -> Vector:
+    """Componentwise average of a nonempty family of equal-length vectors, by ``vectors``."""
+    vs = vectors(vs)
     if not vs:
         raise InputError("mean of an empty family of vectors")
     width = len(vs[0])
     for v in vs:
         if len(v) != width:
             raise InputError(f"mean of vectors of lengths {width} and {len(v)}")
-    _require_exact([x for v in vs for x in v], "mean")
     return tuple(sum(col, Fraction(0)) / len(vs) for col in zip(*vs))
-
-
-def _require_exact(values: Iterable[object], what: str) -> None:
-    """Refuse any value that is not a Fraction or an int (a float, a Decimal)."""
-    if not all(isinstance(x, (Fraction, int)) for x in values):
-        raise InputError(f"{what} of values that are not Fractions or ints")
 
 
 def unit_vector(index: int, length: int) -> Vector:
@@ -191,8 +201,8 @@ class Matrix:
     cols: int
 
     def __post_init__(self) -> None:
-        if self.cols < 0:
-            raise InputError("negative column count")
+        require_count(self.cols, 0, "column count must be an integer",
+                      below="negative column count")
         for row in self.entries:
             if len(row) != self.cols:
                 raise InputError(
@@ -220,7 +230,7 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
-    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
+    def mul_vec(self, v: Sequence[RationalLike]) -> Vector:
         if len(v) != self.cols:
             raise InputError(f"matrix has {self.cols} columns, vector has {len(v)}")
         return tuple(dot(row, v) for row in self.entries)
@@ -250,11 +260,11 @@ class Echelon:
         return len(self.pivots)
 
 
-def integer_row(values: Iterable[Fraction]) -> list[int]:
-    """The row times the lcm of its denominators: a list of integers."""
+def scaled_integers(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Fractions or ints times the lcm of their denominators, and that lcm (1 for none)."""
     row = list(values)
     scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+    return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
 def eliminate(rows: list[list[int]], cols: int) -> list[int]:
@@ -298,7 +308,7 @@ def rref(m: Matrix) -> Echelon:
     each nonzero row is then divided by its pivot. The result is the unique
     RREF of the input.
     """
-    rows = [integer_row(r) for r in m.entries]
+    rows = [scaled_integers(r)[0] for r in m.entries]
     pivots = eliminate(rows, m.cols)
     zero = (Fraction(0),) * m.cols
     reduced = tuple(
@@ -333,10 +343,11 @@ class SolutionSpace:
         """Dimension of the solution set; only meaningful when consistent."""
         return len(self.basis)
 
-    def solution(self, coefficients: Sequence[Fraction]) -> Vector:
+    def solution(self, coefficients: Iterable[RationalLike]) -> Vector:
         """particular + sum of coefficient * basis vector."""
         if self.particular is None:
             raise InputError("no solutions to combine: system is inconsistent")
+        coefficients = vector(coefficients)
         if len(coefficients) != len(self.basis):
             raise InputError("one coefficient per basis vector required")
         out = list(self.particular)

@@ -230,11 +230,22 @@ def test_weights_validation():
         validate_weights(char, ["1/2", "1/2", "1/2"])  # not convex
     with pytest.raises(InputError):
         validate_weights(char, ["3/2", "-1/4", "-1/4"])  # negative
-    # a float or Decimal weight is refused even where it is zero
+    # a float, Decimal or bool weight is refused even where it is zero
     half = Fraction(1, 2)
-    for bad in ([0.0, half, half], [Decimal(0), half, half], [0.5, half, 0]):
-        with pytest.raises(InputError, match="^mixture weights must be Fractions or ints$"):
+    for bad, name in (
+        ([0.0, half, half], "0.0"),
+        ([Decimal(0), half, half], "Decimal('0')"),
+        ([half, 0.5, 0], "0.5"),
+        ([False, half, half], "False"),
+    ):
+        with refuses(InputError, f"cannot interpret {name} as an exact rational"):
             mixture(char.generators, bad)
+        with refuses(InputError, f"cannot interpret {name} as an exact rational"):
+            validate_weights(char, bad)
+    # a rational string weight mixes as the Fraction it spells
+    assert mixture(char.generators, ["1/3", "1/3", "1/3"]) == mixture(
+        char.generators, [Fraction(1, 3)] * 3
+    )
 
 
 def test_complete_market_rejects_bad_weights():

@@ -387,12 +387,19 @@ def test_dot_and_mean_vector_keep_their_refusals():
 
 
 def test_dot_and_mean_vector_refuse_inexact_numbers():
-    with pytest.raises(InputError, match="^dot product of values that are not Fractions or ints$"):
+    with refuses(InputError, "cannot interpret 0.5 as an exact rational"):
         dot((Fraction(1), 0.5), (Fraction(1), Fraction(2)))
-    with pytest.raises(InputError, match="^dot product of values that are not Fractions or ints$"):
+    with refuses(InputError, "cannot interpret 0.5 as an exact rational"):
         dot((Fraction(1), 0.5), (Fraction(1), Fraction(0)))  # a zero term is checked too
-    with pytest.raises(InputError, match="^mean of values that are not Fractions or ints$"):
+    with refuses(InputError, "cannot interpret True as an exact rational"):
+        dot((Fraction(1), 2), (True, Fraction(0)))
+    with refuses(InputError, "cannot interpret Decimal('0.5') as an exact rational"):
         mean_vector([(Fraction(1),), (Decimal("0.5"),)])
+    with refuses(InputError, "cannot interpret False as an exact rational"):
+        mean_vector([(Fraction(1),), (False,)])
+    # a rational string is read as the Fraction it spells
+    assert dot(("1/2", "3"), (Fraction(2), "1/3")) == dot((Fraction(1, 2), 3), (2, Fraction(1, 3)))
+    assert mean_vector([("1/2",), ("0.25",)]) == mean_vector([(Fraction(1, 2),), (Fraction(1, 4),)])
 
 
 def test_mean_vector_refuses_a_ragged_family():

@@ -52,3 +52,22 @@ def test_traced_generators_op_counts_one_enumeration():
     assert len(json.loads(out.getvalue())["generators"]) == 3
     assert tracer.totals()[0][0]["geometry.enumerate_generators"] == 1
     assert tracer.counts[0]["geometry.generators"] == 3
+
+
+def test_traced_kkl_op_records_one_params_span():
+    # ``models.kkl_params`` names the ``KklParams`` class: the tracer wraps
+    # it like a function and sees the op build its parameters once
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    out = io.StringIO()
+    try:
+        tracer.begin(0)
+        with redirect_stdout(out):
+            code = main(["kkl", "--s0", "2", "--lambda", "1/8", "--eta", "1/8", "--steps", "20",
+                         "--epsilon", "1/1000", "--json"])
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert json.loads(out.getvalue())["params"]["steps"] == 20
+    assert tracer.totals()[0][0]["models.kkl_params"] == 1
