@@ -16,6 +16,7 @@ from martpoly import (
     kkl_build,
     kkl_completion_check,
     kkl_grid,
+    kkl_node_weights,
     kkl_params,
     kkl_perturb_terminal,
     kkl_viability,
@@ -34,7 +35,8 @@ report = analyze_tree(kkl_build(small))
 print(f"2-step path tree: viable={report.viable} complete={report.complete} "
       f"({len(report.components)} components)")
 
-surface = kkl_backward_induction(params, put_terminal(params), emm_p=Fraction(1, 2))
+weights = kkl_node_weights(params, Fraction(1, 2))
+surface = kkl_backward_induction(weights, put_terminal(params))
 print("\nstrike-1 put values at the first two steps:")
 for t in (0, 1):
     row = {k: str(surface.value(t, k)) for k in levels[t]}
@@ -44,7 +46,7 @@ violations = kkl_completion_check(surface)
 print(f"\ncompletion check: {len(violations)} violating nodes (put payoff is flat")
 print("   across high states, so second differences vanish):", violations[:6], "...")
 
-result = kkl_perturb_terminal(params, epsilon="1/1000", seed=7)
+result = kkl_perturb_terminal(weights, epsilon="1/1000", seed=7)
 deviation = max(
     abs(result.terminal[k] - base) for k, base in put_terminal(params).items()
 )

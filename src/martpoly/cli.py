@@ -422,14 +422,14 @@ def cmd_kkl(args: argparse.Namespace) -> _Report:
     if viable:
         put = models.put_terminal(params)
         weights = models.kkl_node_weights(params, emm_p)
-        surface = models.kkl_backward_induction(params, put, weights)
+        surface = models.kkl_backward_induction(weights, put)
         doc["put_root_value"] = format_rational(surface.value(0, params.s0))
         doc["completion_violations"] = [
             list(v) for v in models.kkl_completion_check(surface)
         ]
         if eps is not None:
             seed = args.seed or 0
-            result = models.kkl_perturb_terminal(params, eps, seed, weights)
+            result = models.kkl_perturb_terminal(weights, eps, seed)
             surface = result.surface
             deviation = max(abs(result.terminal[k] - base) for k, base in put.items())
             doc["perturbation"] = {

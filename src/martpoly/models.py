@@ -18,13 +18,14 @@ one denominator D, and one integer T clears the terminal values. Layer t is
 then an integer vector N_t with value N_t / S_t, S_t = T D^(steps - t), each
 node costs three integer products, and the completion check is an integer
 zero test made in the same pass. No Fraction is built from the node weights
-to the CSV. The weights are built once per lattice and measure
-(``NodeWeights``), so a put and its perturbations share them.
+to the CSV. A ``NodeWeights`` holds one measure's weights with their lattice,
+and a put and its perturbations are priced from the same one.
 
 ``FactorModel`` and ``KklParams`` coerce their fields by ``rat`` and
 ``require_count`` (see ``rationals``), so ``make_factor_model`` and
-``kkl_params`` name those classes; a lattice state and ``max_nodes`` are
-counts too. ``TrinomialEmmFamily`` trusts its Fraction endpoints.
+``kkl_params`` name those classes; a lattice state (a terminal value's key
+included), ``max_nodes`` and the perturbation seed are counts too.
+``TrinomialEmmFamily`` trusts its Fraction endpoints.
 
 A value n / S_t is put in lowest terms only when it is read, and without a gcd
 at the width of S_t: its power of 2 is min(v2(n), v2(S_t)), read off the low
@@ -53,6 +54,7 @@ from .errors import (
     LimitExceededError,
     NotViableError,
     PerturbationError,
+    quoted,
 )
 from .market import OnePeriodMarket
 from .multiperiod import EventTree, TreeMarket, TreeNode
@@ -522,8 +524,8 @@ class NodeWeights:
     node in state order; ``absorbed`` is the absorbed state's weight. D is
     the lcm of the reduced denominators of every discounted weight, the
     absorbed one included. Built by ``kkl_node_weights`` from integer closed
-    forms and passed as ``emm_p``, one value serves every induction on the
-    same lattice and measure.
+    forms, one value carries its lattice (``params``) and serves every
+    induction on that lattice and measure.
     """
 
     params: KklParams
@@ -538,12 +540,14 @@ def kkl_node_weights(
 ) -> NodeWeights:
     """The discounted node weights ``kkl_backward_induction`` prices with.
 
-    ``emm_p`` is as there. Weights are built once per distinct (state,
-    parameter), in the order the nodes are priced, so a bad parameter is
-    reported at the first node that uses it. Each is an integer n over L
-    (``_discounted_weights``), D is the lcm of every reduced L / gcd(n, L),
-    and n / L becomes n D / L. A state's three weights sum to the absorbed
-    weight b / (a + b), so D is a multiple of a + b.
+    ``emm_p`` selects the node measure: a single parameter in (0, 1) used
+    everywhere, or a callable (step, state) -> parameter for per-node choice.
+    Weights are built once per distinct (state, parameter), in the order the
+    nodes are priced, so a bad parameter is reported at the first node that
+    uses it. Each is an integer n over L (``_discounted_weights``), D is the
+    lcm of every reduced L / gcd(n, L), and n / L becomes n D / L. A state's
+    three weights sum to the absorbed weight b / (a + b), so D is a multiple
+    of a + b.
     """
     if not kkl_viability(params):
         raise NotViableError(
@@ -608,17 +612,14 @@ def _discounted_weights(a: int, b: int, k: int, p: Fraction) -> tuple[int, int, 
 
 
 def kkl_backward_induction(
-    params: KklParams,
-    terminal: Mapping[int, RationalLike],
-    emm_p: EmmParameter | NodeWeights = Fraction(1, 2),
+    weights: NodeWeights, terminal: Mapping[int, RationalLike]
 ) -> DerivativeSurface:
     """Discounted node-measure expectations, terminal layer backward to zero.
 
-    ``emm_p`` selects the node measure: a single parameter in (0, 1) used
-    everywhere, or a callable (step, state) -> parameter for per-node choice,
-    or the ``NodeWeights`` that ``kkl_node_weights`` built from either for
-    these ``params``. The absorbed state discounts its own next value;
-    branching states average (down, stay, up) under the closed-form measure.
+    The lattice and its node measures are ``weights``, built by
+    ``kkl_node_weights``; ``terminal`` maps exactly the terminal states to
+    values. The absorbed state discounts its own next value; branching
+    states average (down, stay, up) under the closed-form measure.
 
     Each layer is an integer vector over the scale T D^(steps - t) (see the
     module docstring), and the completion check that ``kkl_completion_check``
@@ -632,17 +633,22 @@ def kkl_backward_induction(
     scale T is the caller's input and is left out, so a perturbed terminal
     is refused exactly when the unperturbed one is.
     """
-    node_weights = _node_weights_for(params, emm_p)
+    params = weights.params
     steps = params.steps
     levels = kkl_grid(params)
+    states = levels[-1]
+    refusal = f"terminal states are the integers {states[0]} to {states[-1]}, got {{}}"
+    for k in terminal:
+        if require_count(k, states[0], refusal, k) > states[-1]:
+            raise InputError(refusal.format(quoted(k)))
     top: list[Fraction] = []
-    for k in levels[-1]:
+    for k in states:
         if k not in terminal:
             raise InputError(f"terminal value missing for state {k}")
         top.append(rat(terminal[k]))
-    denominator = node_weights.denominator
-    integer_weights = node_weights.weights
-    absorbed = node_weights.absorbed
+    denominator = weights.denominator
+    integer_weights = weights.weights
+    absorbed = weights.absorbed
 
     scaled_top, terminal_scale = scaled_integers(top)
     limit = _max_scale_bits()
@@ -657,7 +663,7 @@ def kkl_backward_induction(
     layers: list[list[int]] = [[]] * (steps + 1)
     layers[steps] = scaled_top
     bad_layers: list[list[tuple[int, int]]] = []
-    for t, row in zip(reversed(range(steps)), node_weights.layers):
+    for t, row in zip(reversed(range(steps)), weights.layers):
         nxt = layers[t + 1]
         low = levels[t][0]
         cur: list[int] = []
@@ -681,15 +687,6 @@ def kkl_backward_induction(
         values=LatticeValues(params.s0, layers, terminal_scale, denominator),
         violations=violations,
     )
-
-
-def _node_weights_for(params: KklParams, emm_p: EmmParameter | NodeWeights) -> NodeWeights:
-    """``emm_p`` itself when it is ``NodeWeights`` built for ``params``, else built from it."""
-    if not isinstance(emm_p, NodeWeights):
-        return kkl_node_weights(params, emm_p)
-    if emm_p.params != params:
-        raise InputError("node weights were built for a different lattice")
-    return emm_p
 
 
 def kkl_completion_check(surface: DerivativeSurface) -> tuple[tuple[int, int], ...]:
@@ -717,10 +714,7 @@ _PERTURB_ATTEMPTS = 64
 
 
 def kkl_perturb_terminal(
-    params: KklParams,
-    epsilon: RationalLike,
-    seed: int,
-    emm_p: EmmParameter | NodeWeights = Fraction(1, 2),
+    weights: NodeWeights, epsilon: RationalLike, seed: int
 ) -> PerturbationResult:
     """Nudge the put's terminal values until the completion check is empty.
 
@@ -729,14 +723,13 @@ def kkl_perturb_terminal(
     The vanishing second differences cut out finitely many hyperplanes, so a
     random rational point misses them essentially always; the retry budget
     exists only to make the failure mode explicit rather than silent.
-    ``emm_p`` is as in ``kkl_backward_induction``; its node weights are built
-    once and serve every attempt.
+    Every attempt is priced with ``weights``; ``seed`` is an int.
     """
     eps = rat(epsilon)
     if eps <= 0:
         raise InputError("perturbation size must be positive")
-    base = put_terminal(params)
-    weights = _node_weights_for(params, emm_p)
+    require_count(seed, None, "perturbation seed must be an integer, got {}", seed)
+    base = put_terminal(weights.params)
     rng = random.Random(seed)
     for attempt in range(1, _PERTURB_ATTEMPTS + 1):
         terminal = {
@@ -744,7 +737,7 @@ def kkl_perturb_terminal(
                                   _PERTURB_DENOMINATOR)
             for k, v in base.items()
         }
-        surface = kkl_backward_induction(params, terminal, weights)
+        surface = kkl_backward_induction(weights, terminal)
         if not kkl_completion_check(surface):
             return PerturbationResult(terminal=terminal, surface=surface,
                                       attempts=attempt)

@@ -42,7 +42,8 @@ class EventTree:
     """Validated rooted tree with uniform leaf depth.
 
     Nodes are exposed in breadth-first order; every non-root node has exactly
-    one parent at the previous time, and all leaves sit at the horizon.
+    one parent at the previous time, and all leaves sit at the horizon. A
+    node's ``children`` is a tuple or list of string ids.
     """
 
     def __init__(self, nodes: Iterable[TreeNode]):
@@ -54,6 +55,8 @@ class EventTree:
                 raise InputError("node ids must be strings")
             if type(time) is not int:  # an exact int passes; skip the call
                 require_count(time, None, "node {}: time must be an integer", node_id)
+            if not isinstance(children, (tuple, list)):
+                raise InputError(f"node {quoted(node_id)}: children must be a list of ids")
             for child in children:  # costs a node less than all() over a generator
                 if not isinstance(child, str):
                     raise InputError(f"node {quoted(node_id)}: children must be a list of ids")
@@ -361,10 +364,10 @@ def tree_market_from_json_dict(doc: Mapping) -> TreeMarket:
             node_prices = raw["prices"]
         except KeyError as missing:
             raise InputError(f"node document lacks key {missing}") from None
-        children = raw.get("children", [])
-        if not isinstance(children, list):
-            raise InputError(f"node {quoted(node_id)}: children must be a list of ids")
-        nodes.append(TreeNode(node_id, time, tuple(children)))
+        children = raw.get("children", ())
+        if isinstance(children, list):
+            children = tuple(children)
+        nodes.append(TreeNode(node_id, time, children))
         try:
             prices[node_id] = node_prices
             if "probabilities" in raw:

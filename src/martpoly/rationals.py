@@ -32,29 +32,32 @@ from .errors import InputError, LimitExceededError, quoted
 Vector = tuple[Fraction, ...]
 RationalLike = Union[Fraction, int, str]
 
-_DECIMAL_WITH_EXPONENT = re.compile(
-    r"\s*[-+]?(?P<whole>[\d_]*)(?:\.(?P<frac>[\d_]*))?[eE](?P<exp>[-+]?[\d_]+)\s*\Z"
+_DECIMAL = re.compile(
+    r"\s*[-+]?(?P<whole>[\d_]*)(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?\s*\Z"
 )
 
 
-def _check_exponent(text: str) -> None:
-    """Refuse a decimal whose exponent would build an integer too long to print.
+def _check_digits(text: str) -> None:
+    """Refuse a decimal that would build an integer too long to print.
 
     ``Fraction`` scales by ``10**exponent`` before reducing, so "1e200000"
-    would cost a 664k-bit integer. The bound is the interpreter's own limit
-    on decimal digits, which ``int`` already applies to digit strings and
-    ``str`` needs to format the result.
+    would cost a 664k-bit integer. The bound is the interpreter's current
+    limit on decimal digits (0: none), which ``int`` applies to digit strings
+    and ``str`` needs to format the result.
     """
-    m = _DECIMAL_WITH_EXPONENT.match(text)
+    limit = sys.get_int_max_str_digits()
+    # with no exponent, the digits are at most the text's length
+    if not limit or len(text) <= limit and "e" not in text and "E" not in text:
+        return
+    m = _DECIMAL.match(text)
     if m is None:
         return
     whole, frac = m["whole"].replace("_", ""), (m["frac"] or "").replace("_", "")
-    shift = int(m["exp"]) - len(frac)
+    shift = int(m["exp"] or 0) - len(frac)
     if shift >= 0:
         digits = max(len((whole + frac).lstrip("0")), 1) + shift
     else:
         digits = 1 - shift
-    limit = sys.int_info.default_max_str_digits
     if digits > limit:
         raise InputError(
             f"rational {quoted(text)} would need {digits} decimal digits, over the limit of {limit}"
@@ -65,11 +68,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer string, or a finite decimal into canonical form.
 
     Decimal strings convert exactly ("0.25" -> 1/4), never through binary
-    floating point. A decimal exponent may not push the scaled integer past
-    the interpreter's limit on decimal digits.
+    floating point. A decimal, its exponent applied, may not need more
+    digits than the interpreter's current limit on decimal digits.
     """
     try:
-        _check_exponent(text)
+        _check_digits(text)
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise InputError(f"zero denominator in rational {quoted(text)}") from None

@@ -26,6 +26,7 @@ from martpoly import (
     kkl_completion_check,
     kkl_component_market,
     kkl_grid,
+    kkl_node_weights,
     kkl_params,
     kkl_perturb_terminal,
     kkl_viability,
@@ -200,9 +201,10 @@ def test_criterion_09_kkl_pipeline():
         assert all(r.viable for r in report.components)
         # the grid at step n-1 reaches k >= 2, so the put cannot complete
         assert any(k >= 2 for k in kkl_grid(params)[n - 1])
-        surface = kkl_backward_induction(params, put_terminal(params))
+        weights = kkl_node_weights(params)
+        surface = kkl_backward_induction(weights, put_terminal(params))
         assert kkl_completion_check(surface) != ()
-        result = kkl_perturb_terminal(params, Fraction(1, 100), seed=7)
+        result = kkl_perturb_terminal(weights, Fraction(1, 100), seed=7)
         assert kkl_completion_check(result.surface) == ()
         base = put_terminal(params)
         assert max(abs(result.terminal[k] - base[k]) for k in base) < Fraction(1, 100)
@@ -216,10 +218,11 @@ def test_criterion_09_kkl_pipeline():
         )
         for k in branching:
             assert is_arbitrage_free(kkl_component_market(big, k))[0]
-        big_surface = kkl_backward_induction(big, put_terminal(big))
+        big_weights = kkl_node_weights(big)
+        big_surface = kkl_backward_induction(big_weights, put_terminal(big))
         assert any(k >= 2 for k in kkl_grid(big)[big.steps - 1])
         assert kkl_completion_check(big_surface) != ()
-        big_result = kkl_perturb_terminal(big, Fraction(1, 100), seed=7)
+        big_result = kkl_perturb_terminal(big_weights, Fraction(1, 100), seed=7)
         assert kkl_completion_check(big_result.surface) == ()
         big_base = put_terminal(big)
         assert max(
@@ -303,8 +306,9 @@ def test_criterion_10_property_suite():
         params = kkl_params(s0=2, lam="1/16", eta="1/16", rate="1/10",
                             horizon=1, steps=3)
         states = kkl_grid(params)[-1]
+        weights = kkl_node_weights(params)
         ones_surface = kkl_backward_induction(
-            params, {k: Fraction(1) for k in states}
+            weights, {k: Fraction(1) for k in states}
         )
         growth = 1 + params.step_rate
         for (t, _k), v in ones_surface.values.items():
@@ -314,10 +318,10 @@ def test_criterion_10_property_suite():
             t2 = {k: Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for k in states}
             a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             b = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            s1 = kkl_backward_induction(params, t1)
-            s2 = kkl_backward_induction(params, t2)
+            s1 = kkl_backward_induction(weights, t1)
+            s2 = kkl_backward_induction(weights, t2)
             s3 = kkl_backward_induction(
-                params, {k: a * t1[k] + b * t2[k] for k in states}
+                weights, {k: a * t1[k] + b * t2[k] for k in states}
             )
             for key in s3.values:
                 assert s3.values[key] == a * s1.values[key] + b * s2.values[key]

@@ -390,6 +390,23 @@ def test_values_too_long_to_print_exit_3(tmp_path, capsys):
             )
 
 
+def test_a_value_past_the_current_digit_limit_is_refused_when_read(tmp_path, capsys):
+    # the digit limit the reports print by is the one the parser reads: the
+    # payoff used to be priced and then exit 3 when printed
+    path = write_doc(tmp_path, "trinomial.json", TRINOMIAL_DOC)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["bounds", path, "--payoff=1e1000,0,1"]) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: rational '1e1000' would need 1001 decimal digits, over the limit of 640\n"
+    )
+
+
 def test_kkl_json_report_leaves_dt_unformatted(capsys):
     # dt = horizon / 11 is one digit too long to print, and only the human
     # report shows it: --json exits 0 (it exited 3 while both modes formatted dt)

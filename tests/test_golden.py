@@ -5,7 +5,8 @@ one-period analysis was folded into a single record; a refactor that keeps
 the library's behaviour keeps every digest. The ``kkl`` digests pin both the
 ``--json`` stdout and the ``--out`` CSV bytes; they were recorded while the
 lattice was still priced by a Fraction recursion. Each command also runs
-without ``--json``, against a digest of its human-readable stdout.
+without ``--json``, against a digest of its human-readable stdout, and each
+demo against a digest of what it prints.
 """
 
 import hashlib
@@ -177,10 +178,25 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+# demo -> SHA-256 of its stdout, recorded while the lattice functions still
+# took the lattice and the node measure as separate arguments
+DEMO_GOLDEN = {
+    "birth_death_lattice.py":
+        "3b391b58c80b969b094c18695ca6585c89a02ffa0f012f03c021ed126abf8fa1",
+    "event_trees.py":
+        "9ee7bc92c0c02c9616d519875093bd8af4b7880649f93e5ea4a41be033d11e6e",
+    "one_period_markets.py":
+        "6d18e5d9e1d0e11ca71f4084783caace8e1e3a4702202619e1d4100774c5bcb9",
+    "pricing_and_completion.py":
+        "e4a04b7a3d9283257a94d05dd86fb4240d0bad2acdc9c34187ffe4a8c44933db",
+}
+
+
 @pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(script):
     done = run_python(str(ROOT / "demos" / script))
     assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == DEMO_GOLDEN[script]
 
 
 NOT_VIABLE_DOC = {

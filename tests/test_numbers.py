@@ -78,6 +78,7 @@ EX4_CHAR = characterize(EX4)
 EX4_SYS = build_system(EX4)
 TRI = make_factor_model(["1/2", 1, 2])
 PARAMS = kkl_params(2, "1/8", "1/8", "1/10", 1, 2)
+WEIGHTS = kkl_node_weights(PARAMS)
 TREE = EventTree([TreeNode("r", 0, ("u", "d")), TreeNode("u", 1, ()), TreeNode("d", 1, ())])
 TREE_MARKET = TreeMarket(TREE, 1, {"r": ["1"], "u": ["2"], "d": ["1/2"]}, ["0"])
 
@@ -174,10 +175,10 @@ CASES = [
     case("kkl_build", lambda n: kkl_build(PARAMS, max_nodes=n), C(100)),
     case("kkl_node_weights", lambda p: kkl_node_weights(PARAMS, p), R(F(1, 3))),
     case("kkl_backward_induction",
-         lambda a, b, c, d, e, p: kkl_backward_induction(PARAMS, terminal(a, b, c, d, e), p),
-         R(F(1)), R(F(0)), R(F(1, 2)), R(F(0)), R(F(-1)), R(F(1, 2))),
-    case("kkl_perturb_terminal", lambda e, p: kkl_perturb_terminal(PARAMS, e, 0, p),
-         R(F(1, 1000)), R(F(1, 2))),
+         lambda a, b, c, d, e: kkl_backward_induction(WEIGHTS, terminal(a, b, c, d, e)),
+         R(F(1)), R(F(0)), R(F(1, 2)), R(F(0)), R(F(-1))),
+    case("kkl_perturb_terminal", lambda e, seed: kkl_perturb_terminal(WEIGHTS, e, seed),
+         R(F(1, 1000)), C(0)),
     case("EventTree",
          lambda t, u, d: EventTree([TreeNode("r", t, ("u", "d")), TreeNode("u", u, ()),
                                     TreeNode("d", d, ())]),
@@ -396,11 +397,14 @@ def test_tree_market_refuses_the_asset_counts_the_reader_refuses(bad):
         ("time", 0.0, "node 'r': time must be an integer"),
         ("time", False, "node 'r': time must be an integer"),
         ("time", Decimal(0), "node 'r': time must be an integer"),
+        ("children", "ud", "node 'r': children must be a list of ids"),
+        ("children", None, "node 'r': children must be a list of ids"),
+        ("children", {"u": 1, "d": 1}, "node 'r': children must be a list of ids"),
     ],
 )
 def test_event_tree_refuses_the_ids_and_times_the_reader_refuses(field, bad, message):
     root, *rest = TREE_DOC["nodes"]
     doc = {**TREE_DOC, "nodes": [{**root, field: bad}, *rest]}
     assert refusal(lambda: tree_market_from_json_dict(doc)) == message
-    nodes = [TreeNode(n["id"], n["time"], tuple(n["children"])) for n in doc["nodes"]]
+    nodes = [TreeNode(n["id"], n["time"], n["children"]) for n in doc["nodes"]]
     assert refusal(lambda: EventTree(nodes)) == message

@@ -23,6 +23,7 @@ from martpoly import (
     solve,
     vector,
 )
+from martpoly.errors import quoted
 from martpoly.rationals import Echelon, format_ratio
 from util import refuses
 
@@ -116,7 +117,7 @@ def test_rat_rejects_bools(flag):
 
 
 def test_parse_decimal_exponent_bounded():
-    limit = sys.int_info.default_max_str_digits
+    limit = sys.get_int_max_str_digits()
     # 10**(limit - 1) has exactly limit digits and still prints
     assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
     assert parse_rational(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
@@ -124,6 +125,29 @@ def test_parse_decimal_exponent_bounded():
     for bad in [f"1e{limit}", f"1e-{limit}", "1e200000", "0e200000", "1.5e-200000"]:
         with pytest.raises(InputError):
             parse_rational(bad)
+
+
+def test_parse_reads_the_current_digit_limit():
+    # the limit str() prints by, so a value that parses also prints; a digit
+    # string past it gets the exponent's refusal, not "malformed rational"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert parse_rational("1e639") == 10**639
+        assert parse_rational("9" * 640) == 10**640 - 1
+        for bad, digits in (("1e640", 641), ("1" * 641, 641), ("-" + "9" * 700, 700),
+                            ("0." + "1" * 640, 641), ("12.5e639", 641)):
+            with refuses(
+                InputError,
+                f"rational {quoted(bad)} would need {digits} decimal digits, "
+                "over the limit of 640",
+            ):
+                parse_rational(bad)
+        sys.set_int_max_str_digits(0)
+        assert parse_rational("1e5000") == 10**5000
+        assert parse_rational("1" * 5000) == int("1" * 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_long_rejected_input_is_not_echoed_whole():
