@@ -385,12 +385,8 @@ def cmd_tree_complete(args: argparse.Namespace) -> _Report:
 def cmd_kkl(args: argparse.Namespace) -> _Report:
     if args.seed is not None and args.epsilon is None:
         raise InputError("--seed chooses a perturbation and needs --epsilon")
-    emm_p = parse_rational(args.emm_p)
-    if not 0 < emm_p < 1:
-        raise InputError(f"--emm-p must lie strictly in (0, 1), got {quoted(args.emm_p)}")
-    eps = None if args.epsilon is None else parse_rational(args.epsilon)
-    if eps is not None and eps <= 0:
-        raise InputError(f"--epsilon must be positive, got {quoted(args.epsilon)}")
+    emm_p = models.measure_parameter(args.emm_p, "--emm-p")
+    eps = None if args.epsilon is None else models.perturbation_size(args.epsilon, "--epsilon")
     params = models.kkl_params(
         s0=args.s0,
         lam=parse_rational(args.lam),

@@ -18,8 +18,9 @@ one denominator D, and one integer T clears the terminal values. Layer t is
 then an integer vector N_t with value N_t / S_t, S_t = T D^(steps - t), each
 node costs three integer products, and the completion check is an integer
 zero test made in the same pass. No Fraction is built from the node weights
-to the CSV. A ``NodeWeights`` holds one measure's weights with their lattice,
-and a put and its perturbations are priced from the same one.
+to the CSV. A ``NodeWeights`` holds one row of weights per branching state the
+lattice reaches, under one measure parameter, with the lattice itself, and a
+put and its perturbations are priced from the same one.
 
 ``FactorModel`` and ``KklParams`` coerce their fields by ``rat`` and
 ``require_count`` (see ``rationals``), so ``make_factor_model`` and
@@ -42,11 +43,11 @@ from __future__ import annotations
 
 import random
 import sys
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import TextIO, Union
+from math import gcd
+from typing import TextIO
 
 from .analysis import PriceBounds, bounds_from_values
 from .errors import (
@@ -123,12 +124,26 @@ def factor_completeness(fm: FactorModel) -> bool:
     return factor_viability(fm) and fm.branches <= 2
 
 
-def _measure_parameter(p: RationalLike) -> Fraction:
-    """A node-measure parameter as a Fraction; outside (0, 1) it is an ``InputError``."""
+def measure_parameter(p: RationalLike, name: str = "measure parameter") -> Fraction:
+    """A node-measure parameter as a Fraction; outside (0, 1) it is an ``InputError``.
+
+    The refusal names ``name`` and echoes ``p`` as given.
+    """
     t = rat(p)
     if not 0 < t < 1:
-        raise InputError(f"measure parameter must lie strictly in (0, 1), got {t}")
+        raise InputError(f"{name} must lie strictly in (0, 1), got {quoted(p)}")
     return t
+
+
+def perturbation_size(epsilon: RationalLike, name: str = "perturbation size") -> Fraction:
+    """A perturbation size as a Fraction; one not positive is an ``InputError``.
+
+    The refusal names ``name`` and echoes ``epsilon`` as given.
+    """
+    eps = rat(epsilon)
+    if eps <= 0:
+        raise InputError(f"{name} must be positive, got {quoted(epsilon)}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -146,7 +161,7 @@ class TrinomialEmmFamily:
 
     def measure(self, p: RationalLike) -> Vector:
         """The equivalent measure at parameter p, for 0 < p < 1."""
-        t = _measure_parameter(p)
+        t = measure_parameter(p)
         first, second = self.endpoints
         return tuple(t * a + (1 - t) * b for a, b in zip(first, second))
 
@@ -267,6 +282,16 @@ def kkl_grid_size(s0: int, steps: int) -> int:
     return (full + 1) ** 2 + wide * (s0 + 1) + wide * (s0 + 1 + steps) // 2
 
 
+def _require_grid(params: KklParams) -> None:
+    """Refuse, by ``LimitExceededError``, a grid of more than ``MAX_GRID_STATES`` states."""
+    size = kkl_grid_size(params.s0, params.steps)
+    if size > MAX_GRID_STATES:
+        raise LimitExceededError(
+            f"lattice grid of {size} states over {params.steps} steps exceeds "
+            f"the limit of {MAX_GRID_STATES} states"
+        )
+
+
 def kkl_grid(params: KklParams) -> tuple[tuple[int, ...], ...]:
     """Reachable integer states per step: start at s0, zero absorbs.
 
@@ -275,13 +300,8 @@ def kkl_grid(params: KklParams) -> tuple[tuple[int, ...], ...]:
     ``MAX_GRID_STATES`` states raises ``LimitExceededError`` before any
     state is built.
     """
+    _require_grid(params)
     s0 = params.s0
-    size = kkl_grid_size(s0, params.steps)
-    if size > MAX_GRID_STATES:
-        raise LimitExceededError(
-            f"lattice grid of {size} states over {params.steps} steps exceeds "
-            f"the limit of {MAX_GRID_STATES} states"
-        )
     return tuple(
         tuple(range(max(0, s0 - t), s0 + t + 1)) for t in range(params.steps + 1)
     )
@@ -378,9 +398,6 @@ def kkl_viability(params: KklParams) -> bool:
     strictly between its down and up factors, worst at the top state.
     """
     return params.horizon * abs(params.rate) * (params.s0 + params.steps - 1) < params.steps
-
-
-EmmParameter = Union[RationalLike, Callable[[int, int], RationalLike]]
 
 
 def _max_scale_bits() -> int:
@@ -518,85 +535,59 @@ def kkl_node_emm(params: KklParams, k: int, p: RationalLike) -> Vector:
 class NodeWeights:
     """A lattice's discounted node measures as integers over one denominator.
 
-    ``weights`` holds the integer (down, stay, up) weights of each distinct
-    node measure, scaled by ``denominator`` (D); ``layers`` lists, for steps
-    ``steps - 1`` down to 0, the index into ``weights`` of each branching
-    node in state order; ``absorbed`` is the absorbed state's weight. D is
+    ``weights`` holds the integer (down, stay, up) weights, scaled by
+    ``denominator`` (D), of each branching state the lattice reaches, from
+    ``low`` = max(1, s0 - steps + 1) up to s0 + steps - 1: state k's row is
+    ``weights[k - low]``. ``absorbed`` is the absorbed state's weight. D is
     the lcm of the reduced denominators of every discounted weight, the
     absorbed one included. Built by ``kkl_node_weights`` from integer closed
-    forms, one value carries its lattice (``params``) and serves every
-    induction on that lattice and measure.
+    forms under one measure parameter, one value carries its lattice
+    (``params``) and serves every induction on that lattice and measure.
     """
 
     params: KklParams
     denominator: int
     absorbed: int
+    low: int
     weights: tuple[tuple[int, int, int], ...]
-    layers: tuple[tuple[int, ...], ...]
 
 
-def kkl_node_weights(
-    params: KklParams, emm_p: EmmParameter = Fraction(1, 2)
-) -> NodeWeights:
+def kkl_node_weights(params: KklParams, emm_p: RationalLike = Fraction(1, 2)) -> NodeWeights:
     """The discounted node weights ``kkl_backward_induction`` prices with.
 
-    ``emm_p`` selects the node measure: a single parameter in (0, 1) used
-    everywhere, or a callable (step, state) -> parameter for per-node choice.
-    Weights are built once per distinct (state, parameter), in the order the
-    nodes are priced, so a bad parameter is reported at the first node that
-    uses it. Each is an integer n over L (``_discounted_weights``), D is the
-    lcm of every reduced L / gcd(n, L), and n / L becomes n D / L. A state's
-    three weights sum to the absorbed weight b / (a + b), so D is a multiple
-    of a + b.
+    ``emm_p`` is the one measure parameter, in (0, 1), of every node. A
+    non-viable lattice, a grid past ``MAX_GRID_STATES`` and a bad parameter
+    are refused in that order. Each weight is an integer n over the common
+    L = 2 v (a + b) (``_discounted_weights``), so D = L / gcd(L, every n),
+    and n / L becomes n / gcd(L, every n). A state's three weights sum to the
+    absorbed weight b / (a + b), so D is a multiple of a + b.
     """
     if not kkl_viability(params):
         raise NotViableError(
             "no equivalent node measures: horizon * |rate| * (s0 + steps - 1) >= steps"
         )
-    levels = kkl_grid(params)
+    _require_grid(params)
+    p = measure_parameter(emm_p)
     rate = params.step_rate
     a, b = rate.numerator, rate.denominator
-    fixed = None if callable(emm_p) else _measure_parameter(emm_p)
-    # each distinct measure's numerators (down, stay, up) and their common L
-    weights: list[tuple[int, int, int, int]] = []
-    weight_index: dict[object, int] = {}
-    layers: list[tuple[int, ...]] = []
-    for t in reversed(range(params.steps)):
-        row: list[int] = []
-        for k in levels[t]:
-            if k == 0:
-                continue
-            if fixed is None:
-                p = rat(emm_p(t, k))
-                key: object = (k, p)
-            else:
-                p = fixed
-                key = k
-            index = weight_index.get(key)
-            if index is None:
-                if fixed is None:
-                    _measure_parameter(p)
-                index = weight_index[key] = len(weights)
-                weights.append(_discounted_weights(a, b, k, p))
-            row.append(index)
-        layers.append(tuple(row))
-
-    denominator = lcm(*(scale // gcd(n, scale) for *q, scale in weights for n in q))
+    low = max(1, params.s0 - params.steps + 1)
+    rows = [_discounted_weights(a, b, k, p) for k in range(low, params.s0 + params.steps)]
+    scale = 2 * p.denominator * (a + b)
+    common = gcd(scale, *(n for row in rows for n in row))
+    denominator = scale // common
     return NodeWeights(
         params=params,
         denominator=denominator,
         absorbed=b * (denominator // (a + b)),
+        low=low,
         weights=tuple(
-            (down * denominator // scale, stay * denominator // scale,
-             up * denominator // scale)
-            for down, stay, up, scale in weights
+            (down // common, stay // common, up // common) for down, stay, up in rows
         ),
-        layers=tuple(layers),
     )
 
 
-def _discounted_weights(a: int, b: int, k: int, p: Fraction) -> tuple[int, int, int, int]:
-    """State k's discounted (down, stay, up) numerators over L = 2 v (a + b), and L.
+def _discounted_weights(a: int, b: int, k: int, p: Fraction) -> tuple[int, int, int]:
+    """State k's discounted (down, stay, up) numerators over L = 2 v (a + b).
 
     The step rate r = a / b (b > 0) is viable, so |a| k < b. The measure is p
     times ((1 - k r) / 2, 0, (1 + k r) / 2) plus 1 - p times (0, 1 - k r, k r)
@@ -605,10 +596,8 @@ def _discounted_weights(a: int, b: int, k: int, p: Fraction) -> tuple[int, int, 
     u, v = p.numerator, p.denominator
     ka, w = k * a, 2 * (v - u)
     if a >= 0:
-        down, stay, up = u * (b - ka), w * (b - ka), u * (b + ka) + w * ka
-    else:
-        down, stay, up = u * (b - ka) - w * ka, w * (b + ka), u * (b + ka)
-    return down, stay, up, 2 * v * (a + b)
+        return u * (b - ka), w * (b - ka), u * (b + ka) + w * ka
+    return u * (b - ka) - w * ka, w * (b + ka), u * (b + ka)
 
 
 def kkl_backward_induction(
@@ -634,20 +623,19 @@ def kkl_backward_induction(
     is refused exactly when the unperturbed one is.
     """
     params = weights.params
-    steps = params.steps
-    levels = kkl_grid(params)
-    states = levels[-1]
-    refusal = f"terminal states are the integers {states[0]} to {states[-1]}, got {{}}"
+    s0, steps = params.s0, params.steps
+    first, last = max(0, s0 - steps), s0 + steps
+    refusal = f"terminal states are the integers {first} to {last}, got {{}}"
     for k in terminal:
-        if require_count(k, states[0], refusal, k) > states[-1]:
+        if require_count(k, first, refusal, k) > last:
             raise InputError(refusal.format(quoted(k)))
     top: list[Fraction] = []
-    for k in states:
+    for k in range(first, last + 1):
         if k not in terminal:
             raise InputError(f"terminal value missing for state {k}")
         top.append(rat(terminal[k]))
     denominator = weights.denominator
-    integer_weights = weights.weights
+    rows, low = weights.weights, weights.low
     absorbed = weights.absorbed
 
     scaled_top, terminal_scale = scaled_integers(top)
@@ -663,22 +651,20 @@ def kkl_backward_induction(
     layers: list[list[int]] = [[]] * (steps + 1)
     layers[steps] = scaled_top
     bad_layers: list[list[tuple[int, int]]] = []
-    for t, row in zip(reversed(range(steps)), weights.layers):
+    for t in reversed(range(steps)):
         nxt = layers[t + 1]
-        low = levels[t][0]
         cur: list[int] = []
         bad: list[tuple[int, int]] = []
-        if low == 0:
+        if s0 <= t:
             # zero absorbs, and stays at index 0 of the next layer
             cur.append(absorbed * nxt[0])
-        first = max(low, 1)
+        branching = max(1, s0 - t)
         # branch j's down child is index j: the first's is the next layer's lowest state
-        for j, index in enumerate(row):
+        for j, (w_down, w_stay, w_up) in enumerate(rows[branching - low:s0 + t + 1 - low]):
             down, stay, up = nxt[j], nxt[j + 1], nxt[j + 2]
-            w_down, w_stay, w_up = integer_weights[index]
             cur.append(w_down * down + w_stay * stay + w_up * up)
             if down + up == 2 * stay:
-                bad.append((t, first + j))
+                bad.append((t, branching + j))
         layers[t] = cur
         bad_layers.append(bad)
     violations = tuple(node for bad in reversed(bad_layers) for node in bad)
@@ -725,9 +711,7 @@ def kkl_perturb_terminal(
     exists only to make the failure mode explicit rather than silent.
     Every attempt is priced with ``weights``; ``seed`` is an int.
     """
-    eps = rat(epsilon)
-    if eps <= 0:
-        raise InputError("perturbation size must be positive")
+    eps = perturbation_size(epsilon)
     require_count(seed, None, "perturbation seed must be an integer, got {}", seed)
     base = put_terminal(weights.params)
     rng = random.Random(seed)

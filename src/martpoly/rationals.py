@@ -32,32 +32,38 @@ from .errors import InputError, LimitExceededError, quoted
 Vector = tuple[Fraction, ...]
 RationalLike = Union[Fraction, int, str]
 
-_DECIMAL = re.compile(
-    r"\s*[-+]?(?P<whole>[\d_]*)(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?\s*\Z"
+# a superset of what ``Fraction`` reads: "p/q", or a decimal with an exponent
+_NUMBER = re.compile(
+    r"\s*[-+]?(?:(?P<num>[\d_]+)\s*/\s*(?P<den>[\d_]+)"
+    r"|(?P<whole>[\d_]*)(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?)\s*\Z"
 )
 
 
 def _check_digits(text: str) -> None:
-    """Refuse a decimal that would build an integer too long to print.
+    """Refuse a rational that would build an integer too long to print.
 
-    ``Fraction`` scales by ``10**exponent`` before reducing, so "1e200000"
-    would cost a 664k-bit integer. The bound is the interpreter's current
-    limit on decimal digits (0: none), which ``int`` applies to digit strings
-    and ``str`` needs to format the result.
+    ``int`` refuses a run of more digits than the interpreter's current limit
+    on decimal digits (0: none), leading zeros included, and ``str`` needs
+    the limit to format the result. ``Fraction`` reads each digit run with
+    ``int`` and scales a decimal by ``10**exponent`` before reducing, so
+    "1e200000" would cost a 664k-bit integer. The refusal counts the longest
+    run when it is past the limit, else the digits of the decimal's value.
     """
     limit = sys.get_int_max_str_digits()
     # with no exponent, the digits are at most the text's length
     if not limit or len(text) <= limit and "e" not in text and "E" not in text:
         return
-    m = _DECIMAL.match(text)
+    m = _NUMBER.match(text)
     if m is None:
         return
-    whole, frac = m["whole"].replace("_", ""), (m["frac"] or "").replace("_", "")
-    shift = int(m["exp"] or 0) - len(frac)
-    if shift >= 0:
-        digits = max(len((whole + frac).lstrip("0")), 1) + shift
-    else:
-        digits = 1 - shift
+    num, den, whole, frac, exp = ((run or "").replace("_", "") for run in m.groups())
+    digits = max(len(num), len(den), len(whole), len(frac), len(exp.lstrip("+-")))
+    if digits <= limit and not den:
+        shift = int(exp or 0) - len(frac)
+        if shift >= 0:
+            digits = max(len((whole + frac).lstrip("0")), 1) + shift
+        else:
+            digits = 1 - shift
     if digits > limit:
         raise InputError(
             f"rational {quoted(text)} would need {digits} decimal digits, over the limit of {limit}"
@@ -68,8 +74,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer string, or a finite decimal into canonical form.
 
     Decimal strings convert exactly ("0.25" -> 1/4), never through binary
-    floating point. A decimal, its exponent applied, may not need more
-    digits than the interpreter's current limit on decimal digits.
+    floating point. Neither a run of digits in the text, leading zeros
+    included, nor a decimal, its exponent applied, may need more digits than
+    the interpreter's current limit on decimal digits.
     """
     try:
         _check_digits(text)

@@ -48,7 +48,8 @@ from martpoly import (
     write_surface_csv,
 )
 from martpoly import cli, models
-from martpoly.models import EmmParameter, LatticeValues, NodeWeights, kkl_grid_size
+from martpoly.errors import quoted
+from martpoly.models import LatticeValues, NodeWeights, kkl_grid_size
 from martpoly.rationals import RationalLike, rat
 from util import random_viable_trinomial, refuses
 
@@ -399,11 +400,15 @@ def test_terminal_values_are_keyed_by_exactly_the_terminal_states():
         kkl_backward_induction(weights, {k: v for k, v in put.items() if k != 3})
 
 
-def test_backward_induction_per_node_parameter():
+def test_a_callable_node_parameter_is_refused():
+    # every node takes the one parameter; a per-node choice is not a rational
     params = kkl_params(s0=2, lam="1/16", eta="1/16", rate=0, horizon=1, steps=2)
-    weights = kkl_node_weights(params, lambda t, k: Fraction(1 + (t + k) % 3, 4))
-    surface = kkl_backward_induction(weights, put_terminal(params))
-    assert (0, 2) in surface.values
+
+    def emm_p(t, k):
+        return Fraction(1, 2)
+
+    with refuses(InputError, f"cannot interpret {quoted(emm_p)} as an exact rational"):
+        kkl_node_weights(params, emm_p)
 
 
 def test_backward_induction_linearity():
@@ -598,12 +603,13 @@ def test_kkl_value_size_guard_refuses_before_any_layer(monkeypatch):
         raise AssertionError("a lattice layer was built before the guard")
 
     # the layer loop is the induction's only use of enumerate
-    monkeypatch.setattr(models, "enumerate", no_layer, raising=False)
     small = kkl_params(s0=1, lam="1/64", eta="1/64", steps=2)
-    with pytest.raises(AssertionError):
-        kkl_backward_induction(kkl_node_weights(small), put_terminal(small))
+    small_weights, small_put = kkl_node_weights(small), put_terminal(small)
     params = kkl_params(s0=1, lam="1/64", eta="1/64", rate="1e-4000", steps=20)
     weights = kkl_node_weights(params)
+    monkeypatch.setattr(models, "enumerate", no_layer, raising=False)
+    with pytest.raises(AssertionError):
+        kkl_backward_induction(small_weights, small_put)
     limit = models._max_scale_bits()
     with pytest.raises(
         LimitExceededError,
@@ -660,7 +666,7 @@ class FractionSurface:
 
 
 def fraction_backward_induction(
-    params, terminal: Mapping[int, RationalLike], emm_p: EmmParameter = Fraction(1, 2)
+    params, terminal: Mapping[int, RationalLike], emm_p: RationalLike = Fraction(1, 2)
 ) -> FractionSurface:
     """Oracle: the Fraction recursion that the integer layers replaced."""
     if not kkl_viability(params):
@@ -674,8 +680,6 @@ def fraction_backward_induction(
             raise InputError(f"terminal value missing for state {k}")
         values[(params.steps, k)] = rat(terminal[k])
 
-    fixed = None if callable(emm_p) else rat(emm_p)
-
     discount = 1 / (1 + params.step_rate)
     measure_cache: dict = {}
     for t in reversed(range(params.steps)):
@@ -683,12 +687,9 @@ def fraction_backward_induction(
             if k == 0:
                 values[(t, 0)] = discount * values[(t + 1, 0)]
                 continue
-            p = fixed if fixed is not None else rat(emm_p(t, k))
-            key = (k, p)
-            q = measure_cache.get(key)
+            q = measure_cache.get(k)
             if q is None:
-                q = kkl_node_emm(params, k, p)
-                measure_cache[key] = q
+                q = measure_cache[k] = kkl_node_emm(params, k, emm_p)
             values[(t, k)] = discount * (
                 q[0] * values[(t + 1, k - 1)]
                 + q[1] * values[(t + 1, k)]
@@ -750,13 +751,9 @@ def lattices(draw):
 
 @st.composite
 def node_parameters(draw):
-    """A fixed parameter in (0, 1), or a callable of (step, state)."""
-    if draw(st.booleans()):
-        denominator = draw(st.integers(2, 40))
-        return Fraction(draw(st.integers(1, denominator - 1)), denominator)
-    a, b = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    m = draw(st.integers(1, 12))
-    return lambda t, k: Fraction(1 + (a * t + b * k) % m, m + 1)
+    """A measure parameter in (0, 1), the one every node of a lattice takes."""
+    denominator = draw(st.integers(2, 64))
+    return Fraction(draw(st.integers(1, denominator - 1)), denominator)
 
 
 @st.composite
@@ -794,7 +791,7 @@ def test_integer_layers_match_fraction_recursion_on_named_cases():
     assert_surfaces_agree(params, put_terminal(params), Fraction(3, 8))
     assert_surfaces_agree(
         params, {k: str(Fraction(k * k - 7, 3)) for k in kkl_grid(params)[-1]},
-        lambda t, k: Fraction(1 + (t + k) % 3, 4),
+        Fraction(3, 4),
     )
     result = kkl_perturb_terminal(kkl_node_weights(params), Fraction(1, 1000), seed=3)
     assert_surfaces_agree(params, result.terminal, Fraction(1, 2))
@@ -845,8 +842,7 @@ def literal_tree_values(params, terminal, emm_p):
             if k == 0:
                 value = discount * children[0]
             else:
-                p = emm_p(node.time, k) if callable(emm_p) else emm_p
-                q = kkl_node_emm(params, k, p)
+                q = kkl_node_emm(params, k, emm_p)
                 value = discount * sum(w * v for w, v in zip(q, children))
         values[node_id] = value
         return value
@@ -866,7 +862,7 @@ def test_integer_layers_match_the_literal_tree():
                 for terminal, emm_p in (
                     (put_terminal(params), Fraction(1, 2)),
                     ({k: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for k in states},
-                     lambda t, k: Fraction(1 + (2 * t + k) % 5, 6)),
+                     Fraction(1 + (2 * s0 + steps) % 5, 6)),
                 ):
                     weights = kkl_node_weights(params, emm_p)
                     surface = kkl_backward_induction(weights, terminal)
@@ -1021,18 +1017,17 @@ def test_write_surface_csv_writes_each_value_of_the_surface():
 # node weights, built once per lattice and measure
 
 
-def test_bad_node_parameter_is_reported_at_the_first_node_using_it():
+def test_bad_node_parameter_is_refused_after_the_lattice_checks():
+    # a non-viable lattice, then a grid past the limit, then the parameter
+    with pytest.raises(NotViableError):
+        kkl_node_weights(kkl_params(s0=2, lam="1/16", eta="1/16", rate=2, steps=4), 2)
+    with pytest.raises(LimitExceededError):
+        kkl_node_weights(kkl_params(s0=1, lam="1/8", eta="1/8", steps=10**6), 2)
     params = kkl_params(s0=2, lam="1/16", eta="1/16", steps=4)
-    asked: list[tuple[int, int]] = []
-
-    def emm_p(t, k):
-        asked.append((t, k))
-        return Fraction(2) if (t, k) == (2, 3) else Fraction(1, 2)
-
-    # nodes are priced from the last branching step back, states ascending
-    with pytest.raises(InputError, match="strictly in"):
-        kkl_node_weights(params, emm_p)
-    assert asked == [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (2, 1), (2, 2), (2, 3)]
+    with refuses(InputError, "measure parameter must lie strictly in (0, 1), got 2"):
+        kkl_node_weights(params, 2)
+    with refuses(InputError, "measure parameter must lie strictly in (0, 1), got '0'"):
+        kkl_node_weights(params, "0")
 
 
 def test_kkl_builds_its_node_measures_once(monkeypatch, capsys):
@@ -1051,35 +1046,20 @@ def test_kkl_builds_its_node_measures_once(monkeypatch, capsys):
     assert built == [6]
 
 
-def fraction_node_weights(params, emm_p: EmmParameter = Fraction(1, 2)) -> NodeWeights:
-    """Oracle: node weights from the Fraction closed forms, times the Fraction discount."""
+def fraction_node_weights(params, emm_p: RationalLike = Fraction(1, 2)) -> NodeWeights:
+    """Oracle: node weights from the Fraction closed forms, times the Fraction discount.
+
+    The states are those of the grid's branching nodes, so D is made of the
+    weights of reached states only.
+    """
     if not kkl_viability(params):
         raise NotViableError(
             "no equivalent node measures: horizon * |rate| * (s0 + steps - 1) >= steps"
         )
-    levels = kkl_grid(params)
-    fixed = None if callable(emm_p) else rat(emm_p)
+    states = sorted({k for level in kkl_grid(params)[:-1] for k in level if k})
+    assert states == list(range(states[0], states[-1] + 1))
     discount = 1 / (1 + params.step_rate)
-    weights: list[tuple[Fraction, ...]] = []
-    weight_index: dict[object, int] = {}
-    layers: list[tuple[int, ...]] = []
-    for t in reversed(range(params.steps)):
-        row: list[int] = []
-        for k in levels[t]:
-            if k == 0:
-                continue
-            if fixed is None:
-                p = rat(emm_p(t, k))
-                key: object = (k, p)
-            else:
-                p = fixed
-                key = k
-            index = weight_index.get(key)
-            if index is None:
-                index = weight_index[key] = len(weights)
-                weights.append(tuple(discount * x for x in kkl_node_emm(params, k, p)))
-            row.append(index)
-        layers.append(tuple(row))
+    weights = [tuple(discount * x for x in kkl_node_emm(params, k, emm_p)) for k in states]
     denominator = math.lcm(
         discount.denominator, *(w.denominator for q in weights for w in q)
     )
@@ -1087,10 +1067,10 @@ def fraction_node_weights(params, emm_p: EmmParameter = Fraction(1, 2)) -> NodeW
         params=params,
         denominator=denominator,
         absorbed=discount.numerator * (denominator // discount.denominator),
+        low=states[0],
         weights=tuple(
             tuple(w.numerator * (denominator // w.denominator) for w in q) for q in weights
         ),
-        layers=tuple(layers),
     )
 
 
@@ -1172,3 +1152,7 @@ def test_model_refusals_name_what_is_wrong():
         kkl_node_emm(params, 0, "1/2")
     with refuses(InputError, "perturbation seed must be an integer, got 1.5"):
         kkl_perturb_terminal(kkl_node_weights(params), "1/100", 1.5)
+    with refuses(InputError, "perturbation size must be positive, got '-1/100'"):
+        kkl_perturb_terminal(kkl_node_weights(params), "-1/100", 1)
+    with refuses(InputError, "measure parameter must lie strictly in (0, 1), got 1"):
+        trinomial_emms(three).measure(1)

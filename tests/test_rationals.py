@@ -129,14 +129,20 @@ def test_parse_decimal_exponent_bounded():
 
 def test_parse_reads_the_current_digit_limit():
     # the limit str() prints by, so a value that parses also prints; a digit
-    # string past it gets the exponent's refusal, not "malformed rational"
+    # string past it gets the exponent's refusal, not "malformed rational",
+    # and so does a run that int would refuse: either side of p/q, or a
+    # value whose leading zeros take it past the limit
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
         assert parse_rational("1e639") == 10**639
         assert parse_rational("9" * 640) == 10**640 - 1
+        assert parse_rational("1" * 640 + "/" + "3" * 640) == Fraction(1, 3)
+        assert parse_rational("0" * 639 + "1") == 1
         for bad, digits in (("1e640", 641), ("1" * 641, 641), ("-" + "9" * 700, 700),
-                            ("0." + "1" * 640, 641), ("12.5e639", 641)):
+                            ("0." + "1" * 640, 641), ("12.5e639", 641),
+                            ("1" * 5000 + "/3", 5000), ("3/" + "7" * 5000, 5000),
+                            ("0" * 5000 + "1", 5001)):
             with refuses(
                 InputError,
                 f"rational {quoted(bad)} would need {digits} decimal digits, "
