@@ -401,7 +401,6 @@ def cmd_kkl(args: argparse.Namespace) -> _Report:
     viable = models.kkl_viability(params)
     if eps is not None and not viable:
         raise NotViableError("no surface to perturb: the lattice is not viable")
-    levels = models.kkl_grid(params)
     doc: dict = {
         "params": {
             "s0": params.s0,
@@ -412,7 +411,7 @@ def cmd_kkl(args: argparse.Namespace) -> _Report:
             "steps": params.steps,
         },
         "viable": viable,
-        "grid_states": sum(len(level) for level in levels),
+        "grid_states": models.require_grid(params),
     }
     surface = None
     if viable:

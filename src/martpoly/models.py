@@ -10,6 +10,8 @@ The lattice model moves an integer price up or down by one with intensities
 proportional to the price, or leaves it in place; price zero absorbs. Each
 branching node is such a trinomial market with factors (1 - 1/k, 1, 1 + 1/k),
 so the closed forms drive the backward induction of a derivative surface.
+Step t reaches the states ``KklParams.states(t)``, the one home of the
+lattice's shape; only ``kkl_grid`` builds all O(steps^2) of them.
 
 The induction runs on integers. The node measures are linear in k, so with
 the step rate a / b and the measure parameter u / v the discounted weights of
@@ -18,9 +20,8 @@ one denominator D, and one integer T clears the terminal values. Layer t is
 then an integer vector N_t with value N_t / S_t, S_t = T D^(steps - t), each
 node costs three integer products, and the completion check is an integer
 zero test made in the same pass. No Fraction is built from the node weights
-to the CSV. A ``NodeWeights`` holds one row of weights per branching state the
-lattice reaches, under one measure parameter, with the lattice itself, and a
-put and its perturbations are priced from the same one.
+to the CSV. A put and its perturbations are priced from one ``NodeWeights``:
+a row of weights per branching state, under one measure parameter.
 
 ``FactorModel`` and ``KklParams`` coerce their fields by ``rat`` and
 ``require_count`` (see ``rationals``), so ``make_factor_model`` and
@@ -263,6 +264,10 @@ class KklParams:
     def step_rate(self) -> Fraction:
         return self.rate * self.dt
 
+    def states(self, t: int) -> range:
+        """The lattice's one shape rule: step t reaches the integers within t of s0, >= 0."""
+        return range(max(0, self.s0 - t), self.s0 + t + 1)
+
 
 kkl_params = KklParams
 
@@ -282,29 +287,25 @@ def kkl_grid_size(s0: int, steps: int) -> int:
     return (full + 1) ** 2 + wide * (s0 + 1) + wide * (s0 + 1 + steps) // 2
 
 
-def _require_grid(params: KklParams) -> None:
-    """Refuse, by ``LimitExceededError``, a grid of more than ``MAX_GRID_STATES`` states."""
+def require_grid(params: KklParams) -> int:
+    """The grid's state count, in closed form; a ``LimitExceededError`` past the limit."""
     size = kkl_grid_size(params.s0, params.steps)
     if size > MAX_GRID_STATES:
         raise LimitExceededError(
             f"lattice grid of {size} states over {params.steps} steps exceeds "
             f"the limit of {MAX_GRID_STATES} states"
         )
+    return size
 
 
 def kkl_grid(params: KklParams) -> tuple[tuple[int, ...], ...]:
-    """Reachable integer states per step: start at s0, zero absorbs.
+    """Every step's reachable states, ``params.states(t)``: all O(steps^2) of them.
 
-    A state k >= 1 moves to k - 1, k or k + 1, so step t reaches exactly
-    the integers within t of s0 that are not negative. A grid of more than
-    ``MAX_GRID_STATES`` states raises ``LimitExceededError`` before any
-    state is built.
+    A grid of more than ``MAX_GRID_STATES`` states raises ``LimitExceededError``
+    before any state is built.
     """
-    _require_grid(params)
-    s0 = params.s0
-    return tuple(
-        tuple(range(max(0, s0 - t), s0 + t + 1)) for t in range(params.steps + 1)
-    )
+    require_grid(params)
+    return tuple(tuple(params.states(t)) for t in range(params.steps + 1))
 
 
 def kkl_transition(params: KklParams, k: int) -> Vector:
@@ -413,21 +414,21 @@ def _max_scale_bits() -> int:
 class LatticeValues(Mapping[tuple[int, int], Fraction]):
     """Read-only surface values keyed by (step, state), reduced on read.
 
-    Layer t holds integers N_t for the states max(0, s0 - t) .. s0 + t over
-    the scale S_t = T D^(steps - t), where T is the terminal scale and D the
-    node weights' denominator, so the value at (t, k) is
-    ``N_t[k - max(0, s0 - t)] / S_t``. ``_reduce`` puts values in lowest terms
+    Layer t holds integers N_t for the states ``params.states(t)`` over the
+    scale S_t = T D^(steps - t), where T is the terminal scale and D the node
+    weights' denominator, so the value at (t, k) is ``N_t[k - low] / S_t``
+    with low the layer's lowest state. ``_reduce`` puts values in lowest terms
     with gcds against T_odd D_odd and its factors (see the module docstring):
     on the benchmark's lattices most values need only the first. Keys
     iterate by step, then by state.
     """
 
-    __slots__ = ("_s0", "_layers", "_terminal_scale", "_denominator")
+    __slots__ = ("params", "_layers", "_terminal_scale", "_denominator")
 
     def __init__(
-        self, s0: int, layers: list[list[int]], terminal_scale: int, denominator: int
+        self, params: KklParams, layers: list[list[int]], terminal_scale: int, denominator: int
     ) -> None:
-        self._s0 = s0
+        self.params = params
         self._layers = layers
         self._terminal_scale = terminal_scale
         self._denominator = denominator
@@ -436,25 +437,22 @@ class LatticeValues(Mapping[tuple[int, int], Fraction]):
         if isinstance(key, tuple) and len(key) == 2:
             t, k = key
             if isinstance(t, int) and isinstance(k, int) and 0 <= t < len(self._layers):
-                i = k - max(0, self._s0 - t)
-                if 0 <= i < len(self._layers[t]):
-                    ((numerator, denominator),) = self._reduce(t, (self._layers[t][i],))
-                    return Fraction(numerator, denominator)
+                states = self.params.states(t)
+                if k in states:
+                    ((n, d),) = self._reduce(t, (self._layers[t][k - states.start],))
+                    return Fraction(n, d)
         raise KeyError(key)
 
     def __len__(self) -> int:
         return sum(map(len, self._layers))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        for t, layer in enumerate(self._layers):
-            low = max(0, self._s0 - t)
-            for k in range(low, low + len(layer)):
-                yield (t, k)
+        return ((t, k) for t in range(len(self._layers)) for k in self.params.states(t))
 
     def layers(self) -> Iterator[tuple[int, int, Iterator[tuple[int, int]]]]:
         """(step, lowest state, reduced (numerator, denominator) per state), by step."""
         for t, layer in enumerate(self._layers):
-            yield t, max(0, self._s0 - t), self._reduce(t, layer)
+            yield t, self.params.states(t).start, self._reduce(t, layer)
 
     def _reduce(self, t: int, numerators: Iterable[int]) -> Iterator[tuple[int, int]]:
         """Each n / S_t of layer t in lowest terms, as (numerator, positive denominator)."""
@@ -498,8 +496,9 @@ class DerivativeSurface:
     """Derivative values on the reachable grid, keyed by (step, state).
 
     ``values`` is a lazy ``LatticeValues``: each value becomes a reduced
-    Fraction only when read. ``violations`` lists, by step then state, the
-    branching nodes whose next-layer second difference vanishes.
+    Fraction only when read, and ``terminal_states`` reads its ``params``.
+    ``violations`` lists, by step then state, the branching nodes whose
+    next-layer second difference vanishes.
     """
 
     steps: int
@@ -510,14 +509,13 @@ class DerivativeSurface:
         return self.values[(t, k)]
 
     def terminal_states(self) -> tuple[int, ...]:
-        return tuple(k for (t, k) in self.values if t == self.steps)
+        return tuple(self.values.params.states(self.steps))
 
 
 def put_terminal(params: KklParams) -> dict[int, Fraction]:
-    """Strike-one put payoff on the terminal states, in grid order: one at zero, else zero."""
-    return {
-        k: Fraction(1) if k == 0 else Fraction(0) for k in kkl_grid(params)[-1]
-    }
+    """Strike-one put payoff on the last layer's states, grid guard first: 1 at 0, else 0."""
+    require_grid(params)
+    return {k: Fraction(1) if k == 0 else Fraction(0) for k in params.states(params.steps)}
 
 
 def kkl_node_emm(params: KklParams, k: int, p: RationalLike) -> Vector:
@@ -536,13 +534,12 @@ class NodeWeights:
     """A lattice's discounted node measures as integers over one denominator.
 
     ``weights`` holds the integer (down, stay, up) weights, scaled by
-    ``denominator`` (D), of each branching state the lattice reaches, from
-    ``low`` = max(1, s0 - steps + 1) up to s0 + steps - 1: state k's row is
-    ``weights[k - low]``. ``absorbed`` is the absorbed state's weight. D is
-    the lcm of the reduced denominators of every discounted weight, the
-    absorbed one included. Built by ``kkl_node_weights`` from integer closed
-    forms under one measure parameter, one value carries its lattice
-    (``params``) and serves every induction on that lattice and measure.
+    ``denominator`` (D), of each branching state in ``params.states(steps - 1)``
+    from the lowest, ``low``: state k's row is ``weights[k - low]``.
+    ``absorbed`` is the absorbed state's weight. D is the lcm of the reduced
+    denominators of every discounted weight, the absorbed one included. Built
+    by ``kkl_node_weights`` under one measure parameter, one value carries its
+    lattice (``params``) and serves every induction on that lattice and measure.
     """
 
     params: KklParams
@@ -566,12 +563,13 @@ def kkl_node_weights(params: KklParams, emm_p: RationalLike = Fraction(1, 2)) ->
         raise NotViableError(
             "no equivalent node measures: horizon * |rate| * (s0 + steps - 1) >= steps"
         )
-    _require_grid(params)
+    require_grid(params)
     p = measure_parameter(emm_p)
     rate = params.step_rate
     a, b = rate.numerator, rate.denominator
-    low = max(1, params.s0 - params.steps + 1)
-    rows = [_discounted_weights(a, b, k, p) for k in range(low, params.s0 + params.steps)]
+    last = params.states(params.steps - 1)  # the last step that branches
+    low = max(1, last.start)
+    rows = [_discounted_weights(a, b, k, p) for k in range(low, last.stop)]
     scale = 2 * p.denominator * (a + b)
     common = gcd(scale, *(n for row in rows for n in row))
     denominator = scale // common
@@ -623,20 +621,19 @@ def kkl_backward_induction(
     is refused exactly when the unperturbed one is.
     """
     params = weights.params
-    s0, steps = params.s0, params.steps
-    first, last = max(0, s0 - steps), s0 + steps
-    refusal = f"terminal states are the integers {first} to {last}, got {{}}"
+    steps = params.steps
+    states = params.states(steps)
+    refusal = f"terminal states are the integers {states[0]} to {states[-1]}, got {{}}"
     for k in terminal:
-        if require_count(k, first, refusal, k) > last:
+        if require_count(k, states.start, refusal, k) not in states:
             raise InputError(refusal.format(quoted(k)))
     top: list[Fraction] = []
-    for k in range(first, last + 1):
+    for k in states:
         if k not in terminal:
             raise InputError(f"terminal value missing for state {k}")
         top.append(rat(terminal[k]))
     denominator = weights.denominator
-    rows, low = weights.weights, weights.low
-    absorbed = weights.absorbed
+    rows, low, absorbed = weights.weights, weights.low, weights.absorbed
 
     scaled_top, terminal_scale = scaled_integers(top)
     limit = _max_scale_bits()
@@ -652,15 +649,16 @@ def kkl_backward_induction(
     layers[steps] = scaled_top
     bad_layers: list[list[tuple[int, int]]] = []
     for t in reversed(range(steps)):
+        states = params.states(t)
         nxt = layers[t + 1]
         cur: list[int] = []
         bad: list[tuple[int, int]] = []
-        if s0 <= t:
+        if not states.start:
             # zero absorbs, and stays at index 0 of the next layer
             cur.append(absorbed * nxt[0])
-        branching = max(1, s0 - t)
+        branching = max(1, states.start)
         # branch j's down child is index j: the first's is the next layer's lowest state
-        for j, (w_down, w_stay, w_up) in enumerate(rows[branching - low:s0 + t + 1 - low]):
+        for j, (w_down, w_stay, w_up) in enumerate(rows[branching - low:states.stop - low]):
             down, stay, up = nxt[j], nxt[j + 1], nxt[j + 2]
             cur.append(w_down * down + w_stay * stay + w_up * up)
             if down + up == 2 * stay:
@@ -670,7 +668,7 @@ def kkl_backward_induction(
     violations = tuple(node for bad in reversed(bad_layers) for node in bad)
     return DerivativeSurface(
         steps=steps,
-        values=LatticeValues(params.s0, layers, terminal_scale, denominator),
+        values=LatticeValues(params, layers, terminal_scale, denominator),
         violations=violations,
     )
 

@@ -47,7 +47,8 @@ def _check_digits(text: str) -> None:
     the limit to format the result. ``Fraction`` reads each digit run with
     ``int`` and scales a decimal by ``10**exponent`` before reducing, so
     "1e200000" would cost a 664k-bit integer. The refusal counts the longest
-    run when it is past the limit, else the digits of the decimal's value.
+    run when it is past the limit, else the digits of the decimal's value;
+    a count past 10**64, from a long exponent, is not printed whole.
     """
     limit = sys.get_int_max_str_digits()
     # with no exponent, the digits are at most the text's length
@@ -65,8 +66,9 @@ def _check_digits(text: str) -> None:
         else:
             digits = 1 - shift
     if digits > limit:
+        count = digits if digits <= 10**64 else "more than 10**64"
         raise InputError(
-            f"rational {quoted(text)} would need {digits} decimal digits, over the limit of {limit}"
+            f"rational {quoted(text)} would need {count} decimal digits, over the limit of {limit}"
         )
 
 

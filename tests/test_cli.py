@@ -754,6 +754,27 @@ def test_kkl_refuses_a_huge_grid_before_building_it(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "surface.csv").exists()
 
 
+@pytest.mark.parametrize("s0, steps", [(3, 30), (9, 4)])
+def test_kkl_report_builds_no_grid(s0, steps, tmp_path, monkeypatch, capsys):
+    # the report counts the grid in closed form and reads each layer's states
+    # off the one shape rule, so its bytes do not depend on kkl_grid
+    out = tmp_path / "surface.csv"
+    argv = ["kkl", "--s0", str(s0), "--lambda", "1/8", "--eta", "1/8", "--steps", str(steps),
+            "--epsilon", "1/1000", "--out", str(out), "--json"]
+    assert main(argv) == 0
+    report, surface = capsys.readouterr().out, out.read_bytes()
+    assert json.loads(report)["grid_states"] == models.kkl_grid_size(s0, steps)
+    out.unlink()
+
+    def no_grid(*args):
+        raise AssertionError("the kkl report built the grid")
+
+    monkeypatch.setattr(models, "kkl_grid", no_grid)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == report
+    assert out.read_bytes() == surface
+
+
 def test_kkl_perturbation(tmp_path, capsys):
     code, doc = run_json(
         capsys,

@@ -248,7 +248,19 @@ def test_kkl_grid_matches_step_by_step_simulation():
         for steps in range(1, 40):
             rate = Fraction(1, 4 * (s0 + steps))
             params = kkl_params(s0=s0, lam=rate, eta=rate, steps=steps)
-            assert kkl_grid(params) == simulated_kkl_grid(s0, steps), (s0, steps)
+            levels = simulated_kkl_grid(s0, steps)
+            assert kkl_grid(params) == levels, (s0, steps)
+            assert [tuple(params.states(t)) for t in range(steps + 1)] == list(levels)
+            if s0 > steps:
+                # the low states are unreached: every reader of the shape skips them
+                surface = kkl_backward_induction(kkl_node_weights(params), put_terminal(params))
+                assert surface.terminal_states() == levels[-1], (s0, steps)
+                assert list(surface.values) == [
+                    (t, k) for t, level in enumerate(levels) for k in level
+                ], (s0, steps)
+                assert [low for _, low, _ in surface.values.layers()] == [
+                    level[0] for level in levels
+                ], (s0, steps)
 
 
 def test_kkl_params_validation():
@@ -886,6 +898,11 @@ def lattice_scales(draw):
     return 2 ** draw(st.integers(0, 24)) * odd
 
 
+def square_lattice(steps: int):
+    """The lattice from s0 = steps, whose layer t has 2t + 1 states."""
+    return kkl_params(s0=steps, lam="1/8", eta="1/8", steps=steps)
+
+
 def layer_numerators(rng, scale, denominator, steps):
     """Numerators over T D^(steps - t), often sharing many factors of T and D.
 
@@ -915,13 +932,13 @@ def layer_numerators(rng, scale, denominator, steps):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.data())
 def test_layer_reduction_matches_fraction(data):
-    steps = data.draw(st.integers(0, 12))
+    steps = data.draw(st.integers(1, 12))
     scale = data.draw(lattice_scales())
     denominator = data.draw(lattice_scales())
     layers = layer_numerators(data.draw(st.randoms(use_true_random=False)),
                               scale, denominator, steps)
     s0 = steps
-    values = LatticeValues(s0, layers, scale, denominator)
+    values = LatticeValues(square_lattice(steps), layers, scale, denominator)
     seen = 0
     for t, low, reduced in values.layers():
         assert low == s0 - t
@@ -953,7 +970,7 @@ def test_layer_reduction_on_named_scales():
                 [(-1) ** j * (5 * 701 * 2) ** j * (j + t + 1) for j in range(2 * t + 1)]
                 for t in range(steps + 1)
             ]
-            values = LatticeValues(steps, layers, scale, denominator)
+            values = LatticeValues(square_lattice(steps), layers, scale, denominator)
             assert_layers_reduce(values, layers, scale, denominator)
 
 

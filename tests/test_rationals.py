@@ -131,7 +131,9 @@ def test_parse_reads_the_current_digit_limit():
     # the limit str() prints by, so a value that parses also prints; a digit
     # string past it gets the exponent's refusal, not "malformed rational",
     # and so does a run that int would refuse: either side of p/q, or a
-    # value whose leading zeros take it past the limit
+    # value whose leading zeros take it past the limit. An exponent int
+    # still reads can need a count too long to print: past 10**64 the
+    # refusal gives that bound
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
@@ -142,7 +144,10 @@ def test_parse_reads_the_current_digit_limit():
         for bad, digits in (("1e640", 641), ("1" * 641, 641), ("-" + "9" * 700, 700),
                             ("0." + "1" * 640, 641), ("12.5e639", 641),
                             ("1" * 5000 + "/3", 5000), ("3/" + "7" * 5000, 5000),
-                            ("0" * 5000 + "1", 5001)):
+                            ("0" * 5000 + "1", 5001), ("1e" + "9" * 20, 10**20),
+                            ("1e" + "9" * 630, "more than 10**64"),
+                            ("1e-" + "9" * 630, "more than 10**64"),
+                            ("1e" + "9" * 640, "more than 10**64")):
             with refuses(
                 InputError,
                 f"rational {quoted(bad)} would need {digits} decimal digits, "
@@ -157,7 +162,8 @@ def test_parse_reads_the_current_digit_limit():
 
 
 def test_long_rejected_input_is_not_echoed_whole():
-    for bad in ["1e" + "9" * 5000, "x" * 5002, "1/" + "0" * 5000]:
+    for bad in ["1e" + "9" * 5000, "x" * 5002, "1/" + "0" * 5000,
+                "1e" + "9" * 4290, "1e-" + "9" * 4290, "1e" + "9" * 4300]:
         with pytest.raises(InputError) as exc:
             parse_rational(bad)
         assert len(str(exc.value)) < 200
