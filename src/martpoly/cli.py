@@ -7,6 +7,9 @@ returns its report: the JSON document, and human lines built from that
 document only when they are printed. ``main`` prints one of the two and
 returns 0, whatever the verdict, or the ``exit_code`` of the error it reports
 (see ``errors``). A reader that closes stdout early still gets exit 0.
+Each command imports the modules it runs, so a process loads ``analysis``
+for a one-period command, ``multiperiod`` for a tree command and ``models``
+for ``kkl``, and none of the others.
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ import sys
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, TextIO
+from typing import TYPE_CHECKING, NamedTuple, TextIO
 
-from . import analysis, models, multiperiod
 from .errors import InputError, MartpolyError, NotViableError, quoted
 from .geometry import DEFAULT_MAX_OUTCOMES, GeneratorSet
 from .market import OnePeriodMarket, market_from_json_dict, market_to_json_dict
 from .rationals import Vector, format_ratio, format_rational, parse_rational, require_count
+
+if TYPE_CHECKING:
+    from . import analysis
 
 ENV_MAX_OUTCOMES = "MARTPOLY_MAX_OUTCOMES"
 
@@ -223,6 +228,8 @@ def _describe_supports(doc: dict) -> list[str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> _Report:
+    from . import analysis
+
     mkt = _load_market(args.path)
     char = analysis.characterize(mkt, max_outcomes=_max_outcomes(args))
     doc = _market_report(mkt, char)
@@ -243,6 +250,8 @@ def cmd_analyze(args: argparse.Namespace) -> _Report:
 
 
 def cmd_generators(args: argparse.Namespace) -> _Report:
+    from . import analysis
+
     mkt = _load_market(args.path)
     char = analysis.characterize(mkt, max_outcomes=_max_outcomes(args))
     doc = {"generators": _generator_strings(char.generators)}
@@ -254,6 +263,8 @@ def cmd_generators(args: argparse.Namespace) -> _Report:
 
 
 def cmd_bounds(args: argparse.Namespace) -> _Report:
+    from . import analysis
+
     mkt = _load_market(args.path)
     payoff = _parse_rational_list(args.payoff, "--payoff")
     bounds = analysis.price_bounds(mkt, payoff, max_outcomes=_max_outcomes(args))
@@ -292,6 +303,8 @@ def _plan_document(plan: analysis.CompletionPlan) -> dict:
 
 
 def cmd_complete(args: argparse.Namespace) -> _Report:
+    from . import analysis
+
     mkt = _load_market(args.path)
     weights = None
     if args.weights is not None:
@@ -323,6 +336,8 @@ def cmd_complete(args: argparse.Namespace) -> _Report:
 
 
 def cmd_tree_analyze(args: argparse.Namespace) -> _Report:
+    from . import multiperiod
+
     tm = multiperiod.tree_market_from_json_dict(_load_json(args.path))
     report = multiperiod.analyze_tree(tm, max_outcomes=_max_outcomes(args))
     # one entry per distinct record, shared by its components (see _json_text)
@@ -359,6 +374,8 @@ def cmd_tree_analyze(args: argparse.Namespace) -> _Report:
 
 
 def cmd_tree_complete(args: argparse.Namespace) -> _Report:
+    from . import multiperiod
+
     tm = multiperiod.tree_market_from_json_dict(_load_json(args.path))
     plans = multiperiod.complete_tree(tm, max_outcomes=_max_outcomes(args))
     # one entry per distinct plan, shared by its components (see _json_text)
@@ -383,6 +400,8 @@ def cmd_tree_complete(args: argparse.Namespace) -> _Report:
 
 
 def cmd_kkl(args: argparse.Namespace) -> _Report:
+    from . import models
+
     if args.seed is not None and args.epsilon is None:
         raise InputError("--seed chooses a perturbation and needs --epsilon")
     emm_p = models.measure_parameter(args.emm_p, "--emm-p")

@@ -38,6 +38,10 @@ grows, by gcds against g and its squares, into the part of n made of those
 primes, whose gcd with the odd part of S_t is the answer. Every gcd
 runs at the width of the probe or of that part, which is small unless n
 carries many of S_t's primes, not at the width of S_t.
+
+Only ``trinomial_price_interval`` needs ``analysis`` and only ``kkl_build``
+needs ``multiperiod``; each imports it when called, so pricing a lattice loads
+neither.
 """
 
 from __future__ import annotations
@@ -48,9 +52,8 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from .analysis import PriceBounds, bounds_from_values
 from .errors import (
     InputError,
     LimitExceededError,
@@ -59,9 +62,12 @@ from .errors import (
     quoted,
 )
 from .market import OnePeriodMarket
-from .multiperiod import EventTree, TreeMarket, TreeNode
 from .rationals import Matrix, RationalLike, Vector, dot, format_ratio, rat, require_count
 from .rationals import scaled_integers, vector
+
+if TYPE_CHECKING:
+    from .analysis import PriceBounds
+    from .multiperiod import TreeMarket
 
 
 @dataclass(frozen=True)
@@ -214,6 +220,8 @@ def trinomial_price_interval(
     one-period market; an endpoint is attained only when the payoff is priced
     identically by both generators (a replicable claim).
     """
+    from .analysis import bounds_from_values
+
     family = trinomial_emms(fm)
     c = vector(payoff)
     if len(c) != 3:
@@ -346,6 +354,8 @@ def kkl_build(params: KklParams, *, max_nodes: int = 100_000) -> TreeMarket:
     path counts per state before any node is built. Distinct-state
     analysis via ``kkl_component_market`` scales polynomially instead.
     """
+    from .multiperiod import EventTree, TreeMarket, TreeNode
+
     require_count(max_nodes, 1, "max_nodes must be a positive integer, got {}", max_nodes)
     paths = {params.s0: 1}
     total = 0
@@ -496,14 +506,18 @@ class DerivativeSurface:
     """Derivative values on the reachable grid, keyed by (step, state).
 
     ``values`` is a lazy ``LatticeValues``: each value becomes a reduced
-    Fraction only when read, and ``terminal_states`` reads its ``params``.
-    ``violations`` lists, by step then state, the branching nodes whose
-    next-layer second difference vanishes.
+    Fraction only when read. Its ``params`` are the lattice's one record, so
+    ``steps`` and ``terminal_states`` read them. ``violations`` lists, by step
+    then state, the branching nodes whose next-layer second difference
+    vanishes.
     """
 
-    steps: int
     values: LatticeValues
     violations: tuple[tuple[int, int], ...]
+
+    @property
+    def steps(self) -> int:
+        return self.values.params.steps
 
     def value(self, t: int, k: int) -> Fraction:
         return self.values[(t, k)]
@@ -667,7 +681,6 @@ def kkl_backward_induction(
         bad_layers.append(bad)
     violations = tuple(node for bad in reversed(bad_layers) for node in bad)
     return DerivativeSurface(
-        steps=steps,
         values=LatticeValues(params, layers, terminal_scale, denominator),
         violations=violations,
     )

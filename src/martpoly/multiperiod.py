@@ -70,6 +70,10 @@ class EventTree:
                 if child not in by_id:
                     raise InputError(f"node {quoted(node.id)} references unknown child {quoted(child)}")
                 if child in parents:
+                    if parents[child] == node.id:
+                        raise InputError(
+                            f"node {quoted(node.id)} lists child {quoted(child)} more than once"
+                        )
                     raise InputError(f"node {quoted(child)} has more than one parent")
                 parents[child] = node.id
 

@@ -331,6 +331,8 @@ def test_tree_malformed(tmp_path, capsys):
         ({"nodes": [{**top, "time": "0"}]}, "node 'r': time must be an integer"),
         ({"nodes": [{**top, "children": "u"}]}, "node 'r': children must be a list of ids"),
         ({"nodes": [{**top, "children": ["u", 1]}]}, "node 'r': children must be a list of ids"),
+        ({"nodes": [{**top, "children": ["u", "u"]}] + nodes[1:]},
+         "node 'r' lists child 'u' more than once"),
         ({"assets": -1}, "negative asset count"),
         ({"nodes": [{**top, "prices": ["1", "1"]}] + nodes[1:]},
          "node 'r' has 2 prices for 1 assets"),

@@ -47,9 +47,9 @@ from martpoly import (
     verify_measure,
     write_surface_csv,
 )
-from martpoly import cli, models
+from martpoly import cli, models, multiperiod
 from martpoly.errors import quoted
-from martpoly.models import LatticeValues, NodeWeights, kkl_grid_size
+from martpoly.models import DerivativeSurface, LatticeValues, NodeWeights, kkl_grid_size
 from martpoly.rationals import RationalLike, rat
 from util import random_viable_trinomial, refuses
 
@@ -297,7 +297,7 @@ def test_kkl_build_node_guard(monkeypatch):
     def no_node(*args, **kwargs):
         raise AssertionError("a tree node was built before the guard")
 
-    monkeypatch.setattr(models, "TreeNode", no_node)
+    monkeypatch.setattr(multiperiod, "TreeNode", no_node)
     params = kkl_params(s0=1, lam="1/64", eta="1/64", rate=0, horizon=1, steps=6)
     with pytest.raises(LimitExceededError):
         kkl_build(params, max_nodes=10)
@@ -313,7 +313,7 @@ def test_kkl_build_node_guard(monkeypatch):
 def test_kkl_build_node_limit_is_inclusive(monkeypatch):
     params = kkl_params(s0=1, lam="1/64", eta="1/64", rate=0, horizon=1, steps=2)
     assert len(kkl_build(params, max_nodes=11).tree.nodes) == 1 + 3 + 7
-    monkeypatch.setattr(models, "TreeNode", None)
+    monkeypatch.setattr(multiperiod, "TreeNode", None)
     with pytest.raises(
         LimitExceededError, match=r"reaches 11 nodes by step 2, over the limit of 10 nodes"
     ):
@@ -807,6 +807,21 @@ def test_integer_layers_match_fraction_recursion_on_named_cases():
     )
     result = kkl_perturb_terminal(kkl_node_weights(params), Fraction(1, 1000), seed=3)
     assert_surfaces_agree(params, result.terminal, Fraction(1, 2))
+
+
+def test_surface_steps_follow_its_values_params():
+    params = kkl_params(s0=2, lam="1/16", eta="1/16", rate="1/10", horizon=1, steps=4)
+    surface = kkl_backward_induction(kkl_node_weights(params), put_terminal(params))
+    assert surface.steps == 4
+    assert surface.terminal_states() == tuple(params.states(4))
+    # the step count has one home: a surface over other values reads theirs
+    shorter = kkl_params(s0=2, lam="1/16", eta="1/16", rate="1/10", horizon=1, steps=2)
+    short = kkl_backward_induction(kkl_node_weights(shorter), put_terminal(shorter))
+    moved = DerivativeSurface(values=short.values, violations=surface.violations)
+    assert moved.steps == 2
+    assert moved.terminal_states() == tuple(shorter.states(2)) == (0, 1, 2, 3, 4)
+    with pytest.raises(TypeError):
+        DerivativeSurface(steps=4, values=surface.values, violations=())
 
 
 def test_surface_values_mapping():

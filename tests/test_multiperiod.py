@@ -306,6 +306,20 @@ def test_short_node_ids_are_echoed_whole():
         EventTree([TreeNode("r", 0, ("ghost",))])
 
 
+def test_a_child_listed_twice_names_the_listing_node():
+    with pytest.raises(InputError, match=r"^node 'r' lists child 'a' more than once$"):
+        EventTree([TreeNode("r", 0, ("a", "a")), TreeNode("a", 1, ())])
+    # a child listed by two nodes still has two parents
+    shared = [
+        TreeNode("r", 0, ("a", "b")),
+        TreeNode("a", 1, ("c",)),
+        TreeNode("b", 1, ("c",)),
+        TreeNode("c", 2, ()),
+    ]
+    with pytest.raises(InputError, match=r"^node 'c' has more than one parent$"):
+        EventTree(shared)
+
+
 def test_tree_market_validation():
     tree = EventTree([TreeNode("r", 0, ("a",)), TreeNode("a", 1, ())])
     with pytest.raises(InputError):
